@@ -18,12 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _minimize
 
 from .su2 import (
     TWO_PI,
     BlochDirection,
     TwoAtomState,
+    _q_tables,
     _spin_half_ket,
     displace_two_atoms,
     joint_q,
@@ -274,6 +274,9 @@ def optimize_gamma(
     population-spectroscopy extrema -9/8 and 1/8 that this combination is
     built to probe.
     """
+    # imported here, its only use, so importing the package does not load scipy
+    from scipy.optimize import minimize
+
     if objective not in ("minimize", "maximize"):
         raise ValueError(f"objective must be 'minimize' or 'maximize', got {objective!r}")
     budget = int(budget)
@@ -291,15 +294,7 @@ def optimize_gamma(
     phis = np.linspace(0.0, TWO_PI, r, endpoint=False)
     th = np.repeat(thetas, r)
     ph = np.tile(phis, thetas.size)
-    kets = np.stack(
-        [np.cos(0.5 * th) * np.exp(-0.5j * ph), np.sin(0.5 * th) * np.exp(0.5j * ph)], axis=1
-    )
-    amp = kets.conj() @ a @ kets.conj().T
-    q12 = np.abs(amp) ** 2
-    rho1 = a @ a.conj().T
-    rho2 = a.T @ a.conj()
-    q1 = np.einsum("ni,ij,nj->n", kets.conj(), rho1, kets).real
-    q2 = np.einsum("ni,ij,nj->n", kets.conj(), rho2, kets).real
+    q12, q1, q2 = _q_tables(a, th, ph)
 
     iz = 0  # first grid direction is theta = 0 (the +z axis)
     imz = (r - 1) * r  # start of the theta = pi block (the -z axis)
@@ -336,7 +331,7 @@ def optimize_gamma(
             )
             x0 = np.asarray(x0, dtype=float)
             simplex = np.vstack([x0] + [x0 + 0.3 * row for row in np.eye(4)])
-            res = _minimize(
+            res = minimize(
                 fun,
                 x0,
                 method="Nelder-Mead",

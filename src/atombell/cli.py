@@ -15,7 +15,8 @@ or ``{"product": {"n1": [theta, phi], "n2": [theta, phi]}}``.
 
 Exit codes: 0 success, 2 usage error, 3 invalid input.  Scans and maps are
 CSV with a header row; single-result commands emit JSON.  Angles are always
-radians.
+radians.  ``qmap --grid`` is capped at 24 (331 776 rows), because the map
+grows as grid**4.
 """
 
 from __future__ import annotations
@@ -41,13 +42,16 @@ from .bell import (
 from .ramsey import ShotPlan, estimate_gamma, estimate_q
 from .su2 import (
     TwoAtomState,
+    _q_tables,
     coherent_state,
     entanglement_angle,
     make_direction,
-    reduced_density,
 )
 
 _VIOLATION_MARGIN = 1e-6
+
+# qmap writes grid**4 rows; grid 24 is 331 776 rows, about 73 MB of JSON
+_QMAP_MAX_GRID = 24
 
 
 class _UsageError(Exception):
@@ -74,11 +78,12 @@ def _load_state(spec: str) -> TwoAtomState:
         raise ValueError("state spec must be a JSON object")
     if "family" in obj:
         vartheta = obj.get("vartheta")
-        return family_state(
-            str(obj["family"]),
-            varphi=float(obj.get("varphi", 0.0)),
-            vartheta=None if vartheta is None else float(vartheta),
-        )
+        try:
+            varphi = float(obj.get("varphi", 0.0))
+            vartheta = None if vartheta is None else float(vartheta)
+        except (TypeError, ValueError):
+            raise ValueError("family spec 'varphi' and 'vartheta' must be numbers") from None
+        return family_state(str(obj["family"]), varphi=varphi, vartheta=vartheta)
     if "amps" in obj:
         pairs = obj["amps"]
         try:
@@ -121,15 +126,19 @@ def _settings_json(s: CHSettings) -> dict:
 
 def _parse_settings(spec: str) -> CHSettings:
     obj = json.loads(spec)
-    try:
-        return CHSettings(
-            a=make_direction(*(float(x) for x in obj["a"])),
-            a_prime=make_direction(*(float(x) for x in obj["a_prime"])),
-            b=make_direction(*(float(x) for x in obj["b"])),
-            b_prime=make_direction(*(float(x) for x in obj["b_prime"])),
-        )
-    except KeyError as missing:
-        raise ValueError(f"settings spec is missing key {missing}") from None
+    if not isinstance(obj, dict):
+        raise ValueError("settings spec must be a JSON object")
+
+    def direction(key):
+        if key not in obj:
+            raise ValueError(f"settings spec is missing key {key!r}")
+        try:
+            theta, phi = (float(x) for x in obj[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"settings {key!r} must be a [theta, phi] pair") from None
+        return make_direction(theta, phi)
+
+    return CHSettings(direction("a"), direction("a_prime"), direction("b"), direction("b_prime"))
 
 
 def _optimal_settings(psi: TwoAtomState, budget: int) -> CHSettings:
@@ -240,33 +249,38 @@ def cmd_lhv(args) -> None:
 
 
 def cmd_qmap(args) -> None:
+    if not 2 <= args.grid <= _QMAP_MAX_GRID:
+        raise _UsageError(f"--grid must be between 2 and {_QMAP_MAX_GRID}")
     psi = _load_state(args.state)
-    if args.grid < 2:
-        raise _UsageError("--grid must be at least 2")
     thetas = np.linspace(0.0, math.pi, args.grid)
     phis = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
-    directions = [make_direction(t, p) for t in thetas for p in phis]
-    rho1 = reduced_density(psi, 1)
-    rho2 = reduced_density(psi, 2)
-    kets = np.stack([coherent_state(0.5, d).amps for d in directions])
-    amp = kets.conj() @ psi.amp_matrix @ kets.conj().T
-    q12 = np.abs(amp) ** 2
-    q1 = np.einsum("ni,ij,nj->n", kets.conj(), rho1, kets).real
-    q2 = np.einsum("ni,ij,nj->n", kets.conj(), rho2, kets).real
-    rows = []
-    for i, d1 in enumerate(directions):
-        for k, d2 in enumerate(directions):
-            rows.append((d1.theta, d1.phi, d2.theta, d2.phi, q12[i, k], q1[i], q2[k]))
+    th = np.repeat(thetas, args.grid)
+    ph = np.tile(phis, args.grid)
+    ph[(th == 0.0) | (th == math.pi)] = 0.0  # the poles carry phi = 0, as BlochDirection has it
+    q12, q1, q2 = _q_tables(psi.amp_matrix, th, ph)
+    # row (i, k) reads head[i] + mid[k] + q12[i, k] + tail1[i] + tail2[k]; only
+    # the q12 values are formatted per row, every other piece once per direction
+    angles = list(zip(th.tolist(), ph.tolist()))
     if args.format == "json":
-        payload = [
-            {"theta1": r[0], "phi1": r[1], "theta2": r[2], "phi2": r[3], "q12": r[4], "q1": r[5], "q2": r[6]}
-            for r in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        num = repr
+        head = [f'  {{\n    "theta1": {num(t)},\n    "phi1": {num(p)},\n    "theta2": ' for t, p in angles]
+        mid = [f'{num(t)},\n    "phi2": {num(p)},\n    "q12": ' for t, p in angles]
+        tail1 = [f',\n    "q1": {num(q)},\n    "q2": ' for q in q1.tolist()]
+        tail2 = [f"{num(q)}\n  }}" for q in q2.tolist()]
+        start, sep, end = "[\n", ",\n", "\n]\n"
     else:
-        lines = ["theta1,phi1,theta2,phi2,q12,q1,q2"]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        num = _fmt
+        head = [f"{num(t)},{num(p)}," for t, p in angles]
+        mid = head
+        tail1 = [f",{num(q)}," for q in q1.tolist()]
+        tail2 = [num(q) for q in q2.tolist()]
+        start, sep, end = "theta1,phi1,theta2,phi2,q12,q1,q2\n", "\n", "\n"
+    rows = [
+        h + m + num(q) + t1 + t2
+        for h, t1, q_row in zip(head, tail1, q12.tolist())
+        for m, q, t2 in zip(mid, q_row, tail2)
+    ]
+    _emit(start + sep.join(rows) + end, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     qmap = sub.add_parser("qmap", help="joint Q function over a product grid of directions")
     qmap.add_argument("--state", required=True)
-    qmap.add_argument("--grid", type=int, default=8, help="points per angle")
+    qmap.add_argument(
+        "--grid",
+        type=int,
+        default=8,
+        help=f"points per angle, 2 to {_QMAP_MAX_GRID} (the map has grid**4 rows)",
+    )
     qmap.add_argument("--out")
     qmap.add_argument("--format", choices=("csv", "json"), default="csv")
     qmap.set_defaults(func=cmd_qmap)

@@ -163,6 +163,27 @@ def _spin_half_ket(theta: float, phi: float) -> tuple[complex, complex]:
     return (c * e, s * e.conjugate())
 
 
+def _q_tables(amp_matrix: np.ndarray, thetas: np.ndarray, phis: np.ndarray):
+    """Joint and marginal Q values over N raw spin-1/2 directions at once.
+
+    Returns (q12, q1, q2): q12[i, k] = Q12(n_i, n_k) as an N x N array, and the
+    marginals Q1(n_i), Q2(n_k) as length-N arrays, for the two-atom state with
+    the given 2x2 amplitude matrix.
+    """
+    kets = np.stack(
+        [np.cos(0.5 * thetas) * np.exp(-0.5j * phis), np.sin(0.5 * thetas) * np.exp(0.5j * phis)],
+        axis=1,
+    )
+    a = amp_matrix
+    amp = kets.conj() @ a @ kets.conj().T
+    q12 = np.abs(amp) ** 2
+    rho1 = a @ a.conj().T
+    rho2 = a.T @ a.conj()
+    q1 = np.einsum("ni,ij,nj->n", kets.conj(), rho1, kets).real
+    q2 = np.einsum("ni,ij,nj->n", kets.conj(), rho2, kets).real
+    return q12, q1, q2
+
+
 def _d_entry(two_j: int, two_mp: int, two_m: int, c: float, s: float) -> float:
     jpm = (two_j + two_m) // 2
     jmm = (two_j - two_m) // 2

@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from atombell import TwoAtomState, joint_q, make_direction, u_state
-from atombell.cli import main
+import atombell
+from atombell import TwoAtomState, joint_q, make_direction, marginal_q, u_state
+from atombell.cli import _fmt, _load_state, main
 
 
 def _run(capsys, argv):
@@ -320,6 +326,78 @@ def test_qmap_rejects_bad_grid(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid", [25, 10**6])
+def test_qmap_rejects_grid_above_cap(capsys, grid):
+    # the cap is checked before the state is read, so a bad state still
+    # reports the usage error
+    for state in ('{"family": "v"}', '{"bogus": 1}'):
+        code, out, err = _run(capsys, ["qmap", "--state", state, "--grid", str(grid)])
+        assert code == 2
+        assert out == ""
+        assert "24" in err
+
+
+_QMAP_STATES = {
+    "u": '{"family": "u", "varphi": 3.141592653589793}',
+    "v": '{"family": "v"}',
+    "eta": '{"family": "eta", "vartheta": 0.3, "varphi": 1.0}',
+    "product": '{"product": {"n1": [0.3, 0.1], "n2": [1.2, 2.0]}}',
+    "amps": '{"amps": [[0.1, 0.2], [-0.3, 0.4], [0.5, -0.6], [0.7, 0.05]]}',
+}
+_QMAP_KEYS = ("theta1", "phi1", "theta2", "phi2", "q12", "q1", "q2")
+
+
+def _qmap_reference(psi, grid, fmt):
+    # the map row by row from the public Q functions, in qmap's documented layout
+    thetas = np.linspace(0.0, math.pi, grid)
+    phis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    directions = [make_direction(t, p) for t in thetas for p in phis]
+    rows = [
+        (d1.theta, d1.phi, d2.theta, d2.phi, joint_q(psi, d1, d2), marginal_q(psi, 1, d1), marginal_q(psi, 2, d2))
+        for d1 in directions
+        for d2 in directions
+    ]
+    if fmt == "json":
+        return json.dumps([dict(zip(_QMAP_KEYS, row)) for row in rows], indent=2) + "\n"
+    lines = [",".join(_QMAP_KEYS)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("state", sorted(_QMAP_STATES))
+def test_qmap_matches_row_by_row_reference(capsys, state, fmt):
+    spec = _QMAP_STATES[state]
+    psi = _load_state(spec)
+    for grid in (2, 3, 4):
+        code, out, _ = _run(capsys, ["qmap", "--state", spec, "--grid", str(grid), "--format", fmt])
+        assert code == 0
+        ref = _qmap_reference(psi, grid, fmt)
+        if fmt == "csv":
+            # byte-equal, except that where Q vanishes exactly both sides print
+            # their own rounding noise (~1e-32); such fields must stay below 1e-15
+            assert out.count("\n") == ref.count("\n")
+            for line, ref_line in zip(out.splitlines(), ref.splitlines()):
+                if line != ref_line:
+                    fields, ref_fields = line.split(","), ref_line.split(",")
+                    assert len(fields) == len(ref_fields) == 7
+                    for x, y in zip(fields, ref_fields):
+                        assert x == y or max(abs(float(x)), abs(float(y))) < 1e-15, (line, ref_line)
+            continue
+        # same keys, indentation and row order; numbers agree to 1e-15
+        layout = re.compile(r'": [^,\n]+')
+        assert layout.sub('": #', out) == layout.sub('": #', ref)
+        got, want = json.loads(out), json.loads(ref)
+        assert [list(row) for row in got] == [list(_QMAP_KEYS)] * grid**4
+        diff = np.array([list(row.values()) for row in got]) - np.array([list(row.values()) for row in want])
+        assert np.max(np.abs(diff)) <= 1e-15
+        # both poles are on the grid, and their azimuth prints as 0
+        for row in got:
+            for theta, phi in ((row["theta1"], row["phi1"]), (row["theta2"], row["phi2"])):
+                if theta in (0.0, math.pi):
+                    assert phi == 0.0
+        assert {row["theta1"] for row in got} >= {0.0, math.pi}
+
+
 # -------------------------------------------------------------------- general
 
 
@@ -374,6 +452,31 @@ def test_sample_efficiency_matches_analytic_scaling(capsys):
     # interval, well away from the ideal 1/8
     assert -1.0 < predicted < 0.0
     assert abs(sampled["exact_gamma"] - 0.125) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "settings",
+    ["[1, 2]", '{"a": [1], "a_prime": [0, 0], "b": [0, 0], "b_prime": [0, 0]}',
+     '{"a": 5, "a_prime": [0, 0], "b": [0, 0], "b_prime": [0, 0]}'],
+    ids=["not-an-object", "one-number-direction", "scalar-direction"],
+)
+def test_sample_malformed_settings_exit_with_data_error(capsys, settings):
+    code, _, err = _run(capsys, ["sample", "--state", '{"family": "u"}', "--settings", settings])
+    assert code == 3
+    assert "settings" in err
+
+
+def test_family_spec_with_null_varphi_exits_with_data_error(capsys):
+    code, _, err = _run(capsys, ["optimize", "--state", '{"family": "u", "varphi": null}'])
+    assert code == 3
+    assert "varphi" in err
+
+
+def test_importing_the_package_does_not_load_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(atombell.__file__).resolve().parents[1])}
+    code = "import atombell, atombell.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_malformed_state_spec_shapes_exit_with_data_error(capsys):
