@@ -58,7 +58,7 @@ for key, value in result.terms.items():
     print(f"  {key:9s} = {value:.9f}")
 
 print()
-print("=== blind search finds the same extrema ===")
+print("=== the optimizer finds the same extrema ===")
 found = optimize_gamma(u_state(math.pi), "minimize")
 print(f"minimize over settings: Gamma = {found.gamma:.9f}")
 s = found.settings

@@ -3,7 +3,9 @@
 Any pure two-atom state reduces, by local rotations, to the normal form
 cos(vartheta)|++> + sin(vartheta) e^{i varphi}|-->; vartheta in (0, pi/4]
 measures its entanglement.  Scanning vartheta shows the attainable violation
-growing monotonically from zero (product states) to +1/8 (Bell states).
+growing monotonically from zero (product states) to +1/8 (Bell states),
+along the closed form sin^2(2 vartheta) / (4 (1 + sin 2 vartheta)); the
+minimum mirrors it at -1 minus that.
 """
 
 import math
@@ -21,12 +23,14 @@ from atombell import (
 )
 
 print("=== violation vs. Schmidt angle ===")
-print(f"{'vartheta':>9s} {'max Gamma':>12s} {'min Gamma':>12s}")
+print(f"{'vartheta':>9s} {'max Gamma':>12s} {'closed form':>12s} {'min Gamma':>12s}")
 for vartheta in np.linspace(0.0, math.pi / 4, 10):
     psi = eta_state(float(vartheta), 1.3)
     high = optimize_gamma(psi, "maximize").gamma
     low = optimize_gamma(psi, "minimize").gamma
-    print(f"{vartheta:9.4f} {high:+12.6f} {low:+12.6f}")
+    s2 = math.sin(2.0 * vartheta)
+    closed = s2 * s2 / (4.0 * (1.0 + s2))
+    print(f"{vartheta:9.4f} {high:+12.6f} {closed:+12.6f} {low:+12.6f}")
 print("(product states stay inside [-1, 0]; Bell states reach 1/8 past both ends)")
 
 print()

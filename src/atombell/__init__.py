@@ -11,7 +11,6 @@ command-line front end.
 """
 
 from .bell import (
-    DEFAULT_BUDGET,
     CanonicalForm,
     CHSettings,
     GammaResult,
@@ -82,7 +81,6 @@ __all__ = [
     "schmidt_decompose",
     "entanglement_angle",
     # inequality machinery
-    "DEFAULT_BUDGET",
     "CHSettings",
     "GammaResult",
     "CanonicalForm",

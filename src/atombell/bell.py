@@ -20,12 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .su2 import (
-    TWO_PI,
     BlochDirection,
     TwoAtomState,
-    _q_tables,
     _spin_half_ket,
-    displace_two_atoms,
     joint_q,
     make_direction,
     marginal_q,
@@ -48,13 +45,9 @@ __all__ = [
     "lhv_vertices",
     "canonical_form",
     "optimize_gamma",
-    "DEFAULT_BUDGET",
 ]
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-DEFAULT_BUDGET = 150_000
-_MIN_BUDGET = 1000
 
 
 @dataclass(frozen=True)
@@ -202,157 +195,53 @@ def canonical_form(psi: TwoAtomState) -> CanonicalForm:
     )
 
 
-def _gamma_from_angles(aflat, x) -> float:
-    # scalar fast path used by the optimizer; accepts raw (non-canonical) angles
-    a00, a01, a10, a11 = aflat
-    ka = _spin_half_ket(x[0], x[1])
-    kap = _spin_half_ket(x[2], x[3])
-    kb = _spin_half_ket(x[4], x[5])
-    kbp = _spin_half_ket(x[6], x[7])
-    f0 = ka[0].conjugate()
-    f1 = ka[1].conjugate()
-    fp0 = kap[0].conjugate()
-    fp1 = kap[1].conjugate()
-    g0 = kb[0].conjugate()
-    g1 = kb[1].conjugate()
-    gp0 = kbp[0].conjugate()
-    gp1 = kbp[1].conjugate()
-    r0 = a00 * g0 + a01 * g1  # rows of A contracted with <b|
-    r1 = a10 * g0 + a11 * g1
-    rp0 = a00 * gp0 + a01 * gp1
-    rp1 = a10 * gp0 + a11 * gp1
-    t0 = f0 * a00 + f1 * a10  # columns of A contracted with <a|
-    t1 = f0 * a01 + f1 * a11
-    q12_ab = abs(f0 * r0 + f1 * r1) ** 2
-    q12_apb = abs(fp0 * r0 + fp1 * r1) ** 2
-    q12_abp = abs(f0 * rp0 + f1 * rp1) ** 2
-    q12_apbp = abs(fp0 * rp0 + fp1 * rp1) ** 2
-    q1_a = abs(t0) ** 2 + abs(t1) ** 2
-    q2_b = abs(r0) ** 2 + abs(r1) ** 2
-    return q12_ab + q12_apb + q12_abp - q12_apbp - q1_a - q2_b
-
-
 def _rotated_direction(g: np.ndarray, theta: float, phi: float) -> BlochDirection:
     # image of the analyzer direction (theta, phi) under the local rotation g
     ket = g @ np.array(_spin_half_ket(float(theta), float(phi)))
     return spinor_direction(ket)
 
 
-def _fit_resolution(grid_points: int, budget: int) -> int:
-    r = int(grid_points)
-    if r < 3:
-        raise ValueError("grid_points must be at least 3")
-    while r > 3 and 4 * ((r + 1) * r) ** 2 > 0.8 * budget:
-        r -= 1
-    return r
+def optimize_gamma(psi: TwoAtomState, objective: str = "minimize") -> GammaResult:
+    """Extremal Gamma of a pure two-atom state, in closed form.
 
+    In the Schmidt frame the state is eta(vartheta, varphi) =
+    c|++> + s e^{i varphi}|--> with c = cos(vartheta), s = sin(vartheta).
+    The reference analyzers (a, b) sit on the poles of that frame -- the
+    undisplaced population measurements of the protocol, transported to the
+    state's own axes -- and the displaced analyzers (a', b') are free.  The
+    maximum takes a = b = +z, a' = (theta*, 0) and b' = (theta*, varphi - pi),
+    where cos^2(theta*/2) = (1 + cs) / (1 + 2cs); it is
 
-def optimize_gamma(
-    psi: TwoAtomState,
-    objective: str = "minimize",
-    budget: int = DEFAULT_BUDGET,
-    grid_points: int = 12,
-) -> GammaResult:
-    """Search analyzer settings for the extremal Gamma of a pure two-atom state.
+        Gamma_max = sin^2(2 vartheta) / (4 (1 + sin(2 vartheta))),
 
-    Fully deterministic two-stage search.  The state is first brought to its
-    Schmidt normal form; the reference analyzers (a, b) range over the +/-z
-    poles of that frame -- the undisplaced population measurements of the
-    protocol, transported to the state's own axes -- while the displaced
-    analyzers (a', b') vary continuously.  A coarse direction grid
-    (grid_points azimuths, grid_points polar angles plus the analytic pi/3
-    extremal family) seeds the displaced analyzers in each pole combination,
-    and the best grid points are refined by Nelder-Mead over the four
-    displaced-analyzer angles.  Working in the canonical frame makes the
-    result covariant under local rotations of the input.  `budget` caps the
-    total number of combination evaluations and must be at least 1000; the
-    grid is shrunk automatically if it would not fit.
+    +1/8 for maximally entangled states and 0 for products.  The minimum
+    replaces atom 2's analyzers by their antipodes.  Since
+    Q12(x, -y) = Q1(x) - Q12(x, y) and Q2(-y) = 1 - Q2(y), that maps Gamma to
+    -1 - Gamma, so Gamma_min = -1 - Gamma_max (down to -9/8).  The settings
+    are rotated back to the input's frame, which makes the result covariant
+    under local rotations, and the returned value is `gamma` at them.
 
-    Note the search is deliberately *not* free over all four directions at
-    once: letting the reference analyzers wander recovers the larger
+    Note the extremum is deliberately *not* taken over all four directions:
+    letting the reference analyzers leave the poles recovers the larger
     CHSH-type extrema (-(1+sqrt(2))/2 and (sqrt(2)-1)/2) instead of the
     population-spectroscopy extrema -9/8 and 1/8 that this combination is
     built to probe.
     """
-    # imported here, its only use, so importing the package does not load scipy
-    from scipy.optimize import minimize
-
     if objective not in ("minimize", "maximize"):
         raise ValueError(f"objective must be 'minimize' or 'maximize', got {objective!r}")
-    budget = int(budget)
-    if budget < _MIN_BUDGET:
-        raise ValueError(f"budget too small: need at least {_MIN_BUDGET} evaluations, got {budget}")
-    sign = 1.0 if objective == "minimize" else -1.0
-
     form = canonical_form(psi)
-    psi_c = displace_two_atoms(psi, form.rotation1, form.rotation2)
-    a = psi_c.amp_matrix
-    aflat = (complex(a[0, 0]), complex(a[0, 1]), complex(a[1, 0]), complex(a[1, 1]))
-
-    r = _fit_resolution(grid_points, budget)
-    thetas = np.append(np.linspace(0.0, math.pi, r), math.pi / 3.0)
-    phis = np.linspace(0.0, TWO_PI, r, endpoint=False)
-    th = np.repeat(thetas, r)
-    ph = np.tile(phis, thetas.size)
-    q12, q1, q2 = _q_tables(a, th, ph)
-
-    iz = 0  # first grid direction is theta = 0 (the +z axis)
-    imz = (r - 1) * r  # start of the theta = pi block (the -z axis)
-    seeds = []
-    for ia in (iz, imz):
-        for ib in (iz, imz):
-            grid = (
-                q12[ia, ib]
-                - q1[ia]
-                - q2[ib]
-                + q12[:, ib][:, None]
-                + q12[ia, :][None, :]
-                - q12
-            )
-            flat = sign * grid
-            k = int(np.argmin(flat))
-            i, jdx = divmod(k, grid.shape[1])
-            poles = (th[ia], ph[ia], th[ib], ph[ib])
-            x0 = [th[i], ph[i], th[jdx], ph[jdx]]
-            seeds.append((float(flat[i, jdx]), poles, x0))
-    used = 4 * th.size**2
-    seeds.sort(key=lambda entry: entry[0])
-
-    best_val, best_poles, best_x = seeds[0]
-    best_x = np.asarray(best_x, dtype=float)
-    remaining = budget - used
-    if remaining > 200:
-        starts = seeds[:3]
-        maxfev = min(4000, remaining // len(starts))
-        for _, poles, x0 in starts:
-            ta, pa, tb, pb = poles
-            fun = lambda x: sign * _gamma_from_angles(
-                aflat, (ta, pa, x[0], x[1], tb, pb, x[2], x[3])
-            )
-            x0 = np.asarray(x0, dtype=float)
-            simplex = np.vstack([x0] + [x0 + 0.3 * row for row in np.eye(4)])
-            res = minimize(
-                fun,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxfev": int(maxfev),
-                    "xatol": 1e-9,
-                    "fatol": 1e-12,
-                    "initial_simplex": simplex,
-                },
-            )
-            if res.fun < best_val:  # strict: ties keep the first-found extremum
-                best_val = float(res.fun)
-                best_poles = poles
-                best_x = np.asarray(res.x, dtype=float)
-
+    cs = math.cos(form.vartheta) * math.sin(form.vartheta)
+    theta = 2.0 * math.atan(math.sqrt(cs / (1.0 + cs)))  # tan^2(theta*/2) = cs / (1 + cs)
+    if objective == "maximize":
+        b, b_prime = (0.0, 0.0), (theta, form.varphi - math.pi)
+    else:
+        b, b_prime = (math.pi, 0.0), (math.pi - theta, form.varphi)
     g1 = rotation_operator(0.5, form.rotation1)
     g2 = rotation_operator(0.5, form.rotation2)
     settings = CHSettings(
-        a=_rotated_direction(g1, best_poles[0], best_poles[1]),
-        a_prime=_rotated_direction(g1, best_x[0], best_x[1]),
-        b=_rotated_direction(g2, best_poles[2], best_poles[3]),
-        b_prime=_rotated_direction(g2, best_x[2], best_x[3]),
+        a=_rotated_direction(g1, 0.0, 0.0),
+        a_prime=_rotated_direction(g1, theta, 0.0),
+        b=_rotated_direction(g2, *b),
+        b_prime=_rotated_direction(g2, *b_prime),
     )
     return gamma(psi, settings)

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``gamma-scan``  -- closed-form vs numerically evaluated Gamma over a polar-angle sweep
-* ``optimize``    -- extremal Gamma settings for an arbitrary input state
+* ``optimize``    -- extremal Gamma and its settings for any input state, in closed form
 * ``sample``      -- finite-shot Monte Carlo estimate of Gamma with tallies
 * ``lhv``         -- the 16 deterministic local strategies and the classical hull
 * ``qmap``        -- joint Q function tabulated over a product grid of directions
@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from .bell import (
-    DEFAULT_BUDGET,
     CHSettings,
     analytic_gamma_u,
     analytic_gamma_v,
@@ -141,15 +140,6 @@ def _parse_settings(spec: str) -> CHSettings:
     return CHSettings(direction("a"), direction("a_prime"), direction("b"), direction("b_prime"))
 
 
-def _optimal_settings(psi: TwoAtomState, budget: int) -> CHSettings:
-    low = optimize_gamma(psi, "minimize", budget=budget)
-    high = optimize_gamma(psi, "maximize", budget=budget)
-    # keep whichever side leaves the classical interval [-1, 0] further; exact
-    # ties (maximally entangled states reach 1/8 past both ends) go to the
-    # lower bound, so the comparison ignores float noise near equality
-    return low.settings if (-1.0 - low.gamma) >= high.gamma - 1e-9 else high.settings
-
-
 def cmd_gamma_scan(args) -> None:
     analytic = analytic_gamma_u if args.family == "u" else analytic_gamma_v
     psi = family_state(args.family, varphi=args.varphi)
@@ -178,7 +168,7 @@ def cmd_gamma_scan(args) -> None:
 
 def cmd_optimize(args) -> None:
     psi = _load_state(args.state)
-    result = optimize_gamma(psi, args.objective, budget=args.budget, grid_points=args.grid)
+    result = optimize_gamma(psi, args.objective)
     value = result.gamma
     report = {
         "objective": args.objective,
@@ -197,7 +187,9 @@ def cmd_sample(args) -> None:
         raise _UsageError("--shots must be at least 1")
     psi = _load_state(args.state)
     if args.settings == "optimal":
-        settings = _optimal_settings(psi, args.budget)
+        # the minimum and the maximum sit equally far outside [-1, 0]
+        # (Gamma_min = -1 - Gamma_max), so the minimizing settings serve both
+        settings = optimize_gamma(psi, "minimize").settings
     else:
         settings = _parse_settings(args.settings)
     plan = ShotPlan(shots=args.shots, seed=args.seed, efficiency=args.efficiency)
@@ -304,11 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--format", choices=("csv", "json"), default="csv")
     scan.set_defaults(func=cmd_gamma_scan)
 
-    opt = sub.add_parser("optimize", help="extremal Gamma over analyzer settings")
+    opt = sub.add_parser(
+        "optimize", help="closed-form extremal Gamma and its analyzer settings (Schmidt-frame poles)"
+    )
     opt.add_argument("--state", required=True, help="inline JSON or path to a JSON state spec")
-    opt.add_argument("--objective", choices=("minimize", "maximize"), default="minimize")
-    opt.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    opt.add_argument("--grid", type=int, default=12, help="coarse search resolution per angle")
+    opt.add_argument(
+        "--objective",
+        choices=("minimize", "maximize"),
+        default="minimize",
+        help="maximize gives sin^2(2 vartheta) / (4 (1 + sin 2 vartheta)) at Schmidt angle vartheta; "
+        "minimize gives -1 minus that",
+    )
     opt.add_argument("--out")
     opt.set_defaults(func=cmd_optimize)
 
@@ -317,12 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     smp.add_argument(
         "--settings",
         default="optimal",
-        help='"optimal" or JSON {"a": [theta, phi], "a_prime": ..., "b": ..., "b_prime": ...}',
+        help='"optimal" (the closed-form minimizing settings) or JSON '
+        '{"a": [theta, phi], "a_prime": ..., "b": ..., "b_prime": ...}',
     )
     smp.add_argument("--shots", type=int, default=100_000)
     smp.add_argument("--seed", type=int, default=0)
     smp.add_argument("--efficiency", type=float, default=1.0)
-    smp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search budget when --settings optimal")
     smp.add_argument("--out")
     smp.set_defaults(func=cmd_sample)
 

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from atombell import (
     CHSettings,
@@ -354,17 +357,97 @@ def test_optimize_validation():
     psi = v_state(0.0)
     with pytest.raises(ValueError):
         optimize_gamma(psi, "extremize")
-    with pytest.raises(ValueError):
-        optimize_gamma(psi, "minimize", budget=999)
-    with pytest.raises(ValueError):
-        optimize_gamma(psi, "minimize", grid_points=2)
 
 
-def test_optimize_respects_small_budgets():
-    # the coarse grid must shrink to fit; extrema get looser but stay sound
-    result = optimize_gamma(u_state(math.pi), "minimize", budget=2000)
-    assert result.gamma <= -1.0
-    assert result.gamma >= TSIRELSON_LOW - 1e-9
+def _gamma_max(vartheta):
+    s2 = math.sin(2.0 * vartheta)
+    return s2 * s2 / (4.0 * (1.0 + s2))
+
+
+def test_optimize_matches_closed_form_extremum():
+    rng = np.random.default_rng(SEED + 18)
+    for vartheta in (0.0, 1e-9, 0.05, 0.2, 0.5, math.pi / 4):
+        expected = _gamma_max(vartheta)
+        for varphi in (0.0, 1.3, 4.0):
+            psi = eta_state(vartheta, varphi)
+            copies = [psi] + [
+                displace_two_atoms(psi, _random_direction(rng), _random_direction(rng)) for _ in range(3)
+            ]
+            for state in copies:
+                assert abs(optimize_gamma(state, "maximize").gamma - expected) < 1e-12
+                assert abs(optimize_gamma(state, "minimize").gamma - (-1.0 - expected)) < 1e-12
+
+
+def _antipode(n):
+    return make_direction(math.pi - n.theta, n.phi + math.pi)
+
+
+_unit = st.floats(-1.0, 1.0)
+_polar = st.floats(0.0, math.pi)
+_azimuth = st.floats(0.0, 2.0 * math.pi)
+
+
+@hypothesis_settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    amps=st.lists(_unit, min_size=8, max_size=8).filter(lambda x: np.linalg.norm(x) > 1e-3),
+    angles=st.lists(st.tuples(_polar, _azimuth), min_size=4, max_size=4),
+)
+def test_atom_two_antipodes_map_gamma_to_minus_one_minus_gamma(amps, angles):
+    # Q12(x, -y) = Q1(x) - Q12(x, y) and Q2(-y) = 1 - Q2(y) hold for any state
+    psi = TwoAtomState(np.array(amps[:4]) + 1j * np.array(amps[4:]))
+    a, a_prime, b, b_prime = (make_direction(t, p) for t, p in angles)
+    value = gamma(psi, CHSettings(a, a_prime, b, b_prime)).gamma
+    flipped = gamma(psi, CHSettings(a, a_prime, _antipode(b), _antipode(b_prime))).gamma
+    assert abs(flipped - (-1.0 - value)) < 1e-12
+
+
+def _restricted_grid_extrema(psi, points=601):
+    """Min and max of Gamma over the restricted settings, by brute force.
+
+    In the Schmidt frame a and b sit on the +/-z poles, a' = (t1, 0) and
+    b' = (t2, p2), where the pair term sees p2 only through the phase
+    varphi - p2, so p2 = varphi and varphi - pi cover both extremes.
+    """
+    form = canonical_form(psi)
+    amp = displace_two_atoms(psi, form.rotation1, form.rotation2).amp_matrix
+    varphi = np.angle(amp[1, 1] * np.conj(amp[0, 0]))
+
+    def bras(thetas, phis):
+        # rows <n| for the spin-1/2 coherent states |n> = (cos(t/2) e^{-ip/2}, sin(t/2) e^{ip/2})
+        return np.stack([np.cos(0.5 * thetas) * np.exp(0.5j * phis), np.sin(0.5 * thetas) * np.exp(-0.5j * phis)], axis=-1)
+
+    poles = bras(np.array([0.0, math.pi]), np.zeros(2))
+    t = np.linspace(0.0, math.pi, points)
+    low, high = math.inf, -math.inf
+    for p2 in (varphi, varphi - math.pi):
+        ap = bras(t, np.zeros(points))
+        bp = bras(t, np.full(points, p2))
+        q12_apbp = np.abs(ap @ amp @ bp.T) ** 2  # [i, k] = Q12(a'_i, b'_k)
+        for a in poles:
+            for b in poles:
+                q12_ab = abs(a @ amp @ b) ** 2
+                q12_apb = np.abs(ap @ amp @ b) ** 2
+                q12_abp = np.abs(a @ amp @ bp.T) ** 2
+                q1_a = np.sum(np.abs(a @ amp) ** 2)
+                q2_b = np.sum(np.abs(amp @ b) ** 2)
+                grid = q12_ab + q12_apb[:, None] + q12_abp[None, :] - q12_apbp - q1_a - q2_b
+                low, high = min(low, float(grid.min())), max(high, float(grid.max()))
+    return low, high
+
+
+def test_optimize_is_never_beaten_by_a_restricted_grid():
+    rng = np.random.default_rng(SEED + 19)
+    states = [u_state(math.pi), u_state(1.3), v_state(0.7), eta_state(0.05, 2.0), eta_state(0.3, 0.9)]
+    states += [_random_product(rng)] + [_random_state(rng) for _ in range(12)]
+    for psi in states:
+        low, high = _restricted_grid_extrema(psi)
+        found_low = optimize_gamma(psi, "minimize").gamma
+        found_high = optimize_gamma(psi, "maximize").gamma
+        assert low >= found_low - 1e-12
+        assert high <= found_high + 1e-12
+        # and the grid gets close, so the comparison is not vacuous
+        assert low - found_low < 1e-4
+        assert found_high - high < 1e-4
 
 
 def test_zero_reference_settings_point_up():
