@@ -21,12 +21,12 @@ import numpy as np
 
 from .su2 import (
     BlochDirection,
+    SchmidtDecomposition,
     TwoAtomState,
     _spin_half_ket,
     joint_q,
     make_direction,
     marginal_q,
-    rotation_operator,
     schmidt_decompose,
     spinor_direction,
 )
@@ -34,7 +34,6 @@ from .su2 import (
 __all__ = [
     "CHSettings",
     "GammaResult",
-    "CanonicalForm",
     "u_state",
     "v_state",
     "eta_state",
@@ -168,31 +167,13 @@ def lhv_vertices() -> list[tuple[tuple[int, int, int, int], float]]:
     return out
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Local-rotation normal form: psi = g1(rotation1) g2(rotation2) eta(vartheta, varphi)."""
+def canonical_form(psi: TwoAtomState) -> SchmidtDecomposition:
+    """Express psi as local rotations acting on an eta normal form.
 
-    vartheta: float
-    varphi: float
-    rotation1: BlochDirection
-    rotation2: BlochDirection
-
-    def state(self) -> TwoAtomState:
-        """Rebuild the original state (up to a global phase)."""
-        base = eta_state(self.vartheta, self.varphi)
-        g = np.kron(rotation_operator(0.5, self.rotation1), rotation_operator(0.5, self.rotation2))
-        return TwoAtomState(g @ base.amps)
-
-
-def canonical_form(psi: TwoAtomState) -> CanonicalForm:
-    """Express psi as local rotations acting on an eta normal form."""
-    dec = schmidt_decompose(psi)
-    return CanonicalForm(
-        dec.vartheta,
-        dec.varphi,
-        spinor_direction(dec.basis1[:, 0]),
-        spinor_direction(dec.basis2[:, 0]),
-    )
+    psi = g1(rotation1) g2(rotation2) eta(vartheta, varphi) up to a global
+    phase; this is the SchmidtDecomposition that schmidt_decompose returns.
+    """
+    return schmidt_decompose(psi)
 
 
 def _rotated_direction(g: np.ndarray, theta: float, phi: float) -> BlochDirection:
@@ -236,8 +217,7 @@ def optimize_gamma(psi: TwoAtomState, objective: str = "minimize") -> GammaResul
         b, b_prime = (0.0, 0.0), (theta, form.varphi - math.pi)
     else:
         b, b_prime = (math.pi, 0.0), (math.pi - theta, form.varphi)
-    g1 = rotation_operator(0.5, form.rotation1)
-    g2 = rotation_operator(0.5, form.rotation2)
+    g1, g2 = form.basis1, form.basis2
     settings = CHSettings(
         a=_rotated_direction(g1, 0.0, 0.0),
         a_prime=_rotated_direction(g1, theta, 0.0),

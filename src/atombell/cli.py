@@ -16,7 +16,8 @@ or ``{"product": {"n1": [theta, phi], "n2": [theta, phi]}}``.
 Exit codes: 0 success, 2 usage error, 3 invalid input.  Scans and maps are
 CSV with a header row; single-result commands emit JSON.  Angles are always
 radians.  ``qmap --grid`` is capped at 24 (331 776 rows), because the map
-grows as grid**4.
+grows as grid**4, and ``gamma-scan --grid`` at 10 000 (a few seconds of
+``gamma`` calls).
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ _VIOLATION_MARGIN = 1e-6
 
 # qmap writes grid**4 rows; grid 24 is 331 776 rows, about 73 MB of JSON
 _QMAP_MAX_GRID = 24
+
+# gamma-scan evaluates gamma once per sample, about 0.3 ms each: 10 000 is ~3 s
+_SCAN_MAX_GRID = 10_000
 
 
 class _UsageError(Exception):
@@ -141,10 +145,10 @@ def _parse_settings(spec: str) -> CHSettings:
 
 
 def cmd_gamma_scan(args) -> None:
+    if not 2 <= args.grid <= _SCAN_MAX_GRID:
+        raise _UsageError(f"--grid must be between 2 and {_SCAN_MAX_GRID}")
     analytic = analytic_gamma_u if args.family == "u" else analytic_gamma_v
     psi = family_state(args.family, varphi=args.varphi)
-    if args.grid < 2:
-        raise _UsageError("--grid must be at least 2")
     rows = []
     for theta in np.linspace(0.0, math.pi, args.grid):
         theta = float(theta)
@@ -285,7 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("gamma-scan", help="closed-form vs numeric Gamma over a theta sweep")
     scan.add_argument("--family", choices=("u", "v"), required=True)
     scan.add_argument("--varphi", type=float, default=0.0, help="family phase (radians)")
-    scan.add_argument("--grid", type=int, default=25, help="number of theta samples in [0, pi]")
+    scan.add_argument(
+        "--grid",
+        type=int,
+        default=25,
+        help=f"number of theta samples in [0, pi], 2 to {_SCAN_MAX_GRID}",
+    )
     scan.add_argument(
         "--offset",
         type=float,

@@ -94,8 +94,8 @@ class ShotPlan:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        if int(self.shots) < 1:
-            raise ValueError("shots must be at least 1")
+        if not 1 <= int(self.shots) < (1 << 63):
+            raise ValueError("shots must lie in [1, 2**63)")
         seed = int(self.seed)
         if not 0 <= seed < (1 << 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")

@@ -27,7 +27,6 @@ from math import factorial
 import numpy as np
 
 __all__ = [
-    "DEFAULT_J_MAX",
     "BlochDirection",
     "SpinState",
     "TwoAtomState",
@@ -50,23 +49,21 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 # The Bell test itself only ever needs j = 1/2; larger spins are supported so
-# the coherent-state overlap/factorization laws can be exercised, but factorial
-# growth is kept in check by a default cap (override per call if needed).
-DEFAULT_J_MAX = 2.5
+# the coherent-state overlap/factorization laws can be exercised.  Wigner's
+# factorial sum grows with j, so spins above this cap are refused.
+_J_MAX = 2.5
 
 # Amplitude vectors whose norm is already this close to one are stored as-is,
 # so unitary images of normalized states survive bit-exactly.
 _NORM_TOL = 1e-12
 
 
-def _check_j(j, j_max=None):
+def _check_j(j):
     if not math.isfinite(j):
         raise ValueError(f"spin must be finite, got {j!r}")
     twice = 2.0 * j
     if twice < 0.0 or abs(twice - round(twice)) > 1e-9:
         raise ValueError(f"spin must be a non-negative half-integer, got {j}")
-    if j_max is not None and j > j_max + 1e-9:
-        raise ValueError(f"spin {j} exceeds the supported maximum {j_max}")
 
 
 @dataclass(frozen=True)
@@ -213,12 +210,14 @@ def _wigner_d_sum(j: float, theta: float) -> np.ndarray:
     return d
 
 
-def wigner_d(j: float, theta: float, *, j_max: float = DEFAULT_J_MAX) -> np.ndarray:
+def wigner_d(j: float, theta: float) -> np.ndarray:
     """Small Wigner rotation matrix d^j(theta) = exp(-i theta Jy), m descending.
 
     The matrix is real orthogonal; d^j(0) is the identity.
     """
-    _check_j(j, j_max)
+    _check_j(j)
+    if j > _J_MAX + 1e-9:
+        raise ValueError(f"spin {j} exceeds the supported maximum {_J_MAX}")
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("rotation angle must be finite")
@@ -232,25 +231,25 @@ def wigner_d(j: float, theta: float, *, j_max: float = DEFAULT_J_MAX) -> np.ndar
     return _wigner_d_sum(j, theta)
 
 
-def rotation_operator(j: float, n: BlochDirection, *, j_max: float = DEFAULT_J_MAX) -> np.ndarray:
+def rotation_operator(j: float, n: BlochDirection) -> np.ndarray:
     """Unitary g(n) = exp(-i phi Jz) exp(-i theta Jy) for spin j."""
-    d = wigner_d(j, n.theta, j_max=j_max)
+    d = wigner_d(j, n.theta)
     m = j - np.arange(d.shape[0])
     return np.exp(-1j * n.phi * m)[:, None] * d
 
 
-def coherent_state(j: float, n: BlochDirection, *, j_max: float = DEFAULT_J_MAX) -> SpinState:
+def coherent_state(j: float, n: BlochDirection) -> SpinState:
     """Atomic coherent state |j; n> = g(n)|j, j> (the rotated upper level)."""
-    return SpinState(j, rotation_operator(j, n, j_max=j_max)[:, 0])
+    return SpinState(j, rotation_operator(j, n)[:, 0])
 
 
-def coherent_overlap(j: float, n1: BlochDirection, n2: BlochDirection, *, j_max: float = DEFAULT_J_MAX) -> complex:
+def coherent_overlap(j: float, n1: BlochDirection, n2: BlochDirection) -> complex:
     """Inner product <j; n1 | j; n2>.
 
     Its squared modulus obeys the geometric law ((1 + n1.n2) / 2) ** (2 j).
     """
-    bra = coherent_state(j, n1, j_max=j_max).amps
-    ket = coherent_state(j, n2, j_max=j_max).amps
+    bra = coherent_state(j, n1).amps
+    ket = coherent_state(j, n2).amps
     return complex(np.vdot(bra, ket))
 
 
@@ -318,23 +317,32 @@ def spinor_direction(amps) -> BlochDirection:
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
-    """Biorthogonal form cos(vartheta)|x+>|z+> + sin(vartheta) e^{i varphi}|x->|z->.
+    """Normal form psi = g(rotation1) g(rotation2) [cos(vartheta)|++> + sin(vartheta) e^{i varphi}|-->].
 
     Coefficients are sorted descending, so vartheta lies in [0, pi/4]; the
     relative phase rides on the smaller-coefficient term.  Columns of basis1
-    (basis2) are the atom-1 (atom-2) Schmidt states; the first column is an
-    atomic coherent state, the second its antipode under the same rotation.
+    (basis2) = g(rotation1) (g(rotation2)) are the atom-1 (atom-2) Schmidt
+    states: the atomic coherent state along the rotation, then its antipode.
     """
 
     vartheta: float
     varphi: float
-    basis1: np.ndarray
-    basis2: np.ndarray
+    rotation1: BlochDirection
+    rotation2: BlochDirection
+
+    @property
+    def basis1(self) -> np.ndarray:
+        return rotation_operator(0.5, self.rotation1)
+
+    @property
+    def basis2(self) -> np.ndarray:
+        return rotation_operator(0.5, self.rotation2)
 
     def state(self) -> TwoAtomState:
         """Reconstruct the decomposed state (up to a global phase)."""
-        plus = np.kron(self.basis1[:, 0], self.basis2[:, 0])
-        minus = np.kron(self.basis1[:, 1], self.basis2[:, 1])
+        basis1, basis2 = self.basis1, self.basis2
+        plus = np.kron(basis1[:, 0], basis2[:, 0])
+        minus = np.kron(basis1[:, 1], basis2[:, 1])
         amp = math.cos(self.vartheta) * plus + math.sin(self.vartheta) * cmath.exp(1j * self.varphi) * minus
         return TwoAtomState(amp)
 
@@ -350,15 +358,17 @@ def schmidt_decompose(psi: TwoAtomState) -> SchmidtDecomposition:
     a = psi.amp_matrix
     u_mat, s, vh = np.linalg.svd(a)
     vartheta = math.atan2(float(s[1]), float(s[0]))
-    basis1 = rotation_operator(0.5, spinor_direction(u_mat[:, 0]))
-    basis2 = rotation_operator(0.5, spinor_direction(vh[0, :]))
+    rotation1 = spinor_direction(u_mat[:, 0])
+    rotation2 = spinor_direction(vh[0, :])
+    basis1 = rotation_operator(0.5, rotation1)
+    basis2 = rotation_operator(0.5, rotation2)
     c_plus = np.vdot(np.kron(basis1[:, 0], basis2[:, 0]), psi.amps)
     c_minus = np.vdot(np.kron(basis1[:, 1], basis2[:, 1]), psi.amps)
     if float(s[1]) < 1e-13 or abs(c_plus) == 0.0:
         varphi = 0.0
     else:
         varphi = cmath.phase(complex(c_minus) * complex(c_plus).conjugate()) % TWO_PI
-    return SchmidtDecomposition(vartheta, varphi, basis1, basis2)
+    return SchmidtDecomposition(vartheta, varphi, rotation1, rotation2)
 
 
 def entanglement_angle(psi: TwoAtomState) -> float:

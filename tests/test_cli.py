@@ -87,6 +87,14 @@ def test_gamma_scan_rejects_bad_grid(capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("grid", [10001, 10**11])
+def test_gamma_scan_rejects_grid_above_cap(capsys, grid):
+    code, out, err = _run(capsys, ["gamma-scan", "--family", "u", "--grid", str(grid)])
+    assert code == 2
+    assert out == ""
+    assert "10000" in err
+
+
 def test_gamma_scan_rejects_unknown_family(capsys):
     with pytest.raises(SystemExit) as info:
         main(["gamma-scan", "--family", "eta"])
@@ -252,6 +260,10 @@ def test_sample_usage_errors(capsys):
     assert code == 3
     code, _, _ = _run(capsys, ["sample", "--state", '{"family": "u"}', "--efficiency", "1.5"])
     assert code == 3
+    code, out, err = _run(capsys, ["sample", "--state", '{"family": "u"}', "--shots", str(10**23)])
+    assert code == 3
+    assert out == ""
+    assert "shots" in err
 
 
 # ------------------------------------------------------------------------ lhv
@@ -476,6 +488,18 @@ def test_importing_the_package_does_not_load_scipy():
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_are_the_module_lists():
+    modules = (atombell.su2, atombell.bell, atombell.ramsey)
+    names = atombell.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == {"__version__"}.union(*(module.__all__ for module in modules))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(atombell, name) is getattr(module, name), name
+    for removed in ("CanonicalForm", "DEFAULT_J_MAX"):
+        assert not any(hasattr(module, removed) for module in (atombell, *modules))
 
 
 def test_malformed_state_spec_shapes_exit_with_data_error(capsys):

@@ -133,6 +133,9 @@ def test_shot_plan_validation():
     with pytest.raises(ValueError):
         ShotPlan(shots=0, seed=1)
     with pytest.raises(ValueError):
+        ShotPlan(shots=1 << 63, seed=1)  # beyond numpy's C long
+    assert ShotPlan(shots=(1 << 63) - 1, seed=1).shots == (1 << 63) - 1
+    with pytest.raises(ValueError):
         ShotPlan(shots=10, seed=-1)
     with pytest.raises(ValueError):
         ShotPlan(shots=10, seed=1 << 64)

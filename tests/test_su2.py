@@ -10,6 +10,7 @@ from atombell import (
     BlochDirection,
     SpinState,
     TwoAtomState,
+    canonical_form,
     coherent_overlap,
     coherent_state,
     displace_two_atoms,
@@ -102,8 +103,8 @@ def test_wigner_d_matches_exponential_of_jy():
 
 
 def test_wigner_d_closed_forms_match_general_sum():
-    # j = 1/2 and j = 1 take a hand-coded branch; the factorial sum must agree
-    for j in (0.5, 1.0):
+    # j = 0 and j = 1/2 take a hand-coded branch; the factorial sum must agree
+    for j in (0.0, 0.5):
         for theta in (-1.0, 0.3, 2.9, 4.0):
             assert np.max(np.abs(wigner_d(j, theta) - _wigner_d_sum(j, theta))) < 1e-14
 
@@ -125,11 +126,9 @@ def test_wigner_d_spin_validation():
     with pytest.raises(ValueError):
         wigner_d(-0.5, 1.0)
     with pytest.raises(ValueError):
-        wigner_d(3.0, 1.0)  # beyond the default cap
+        wigner_d(3.0, 1.0)  # beyond the cap
     with pytest.raises(ValueError):
         wigner_d(0.5, math.inf)
-    d = wigner_d(3.0, 0.7, j_max=3.0)  # cap is opt-in adjustable
-    assert np.max(np.abs(d - expm(-1j * 0.7 * _jy(3.0)).real)) < 1e-12
 
 
 def test_rotation_operator_unitary():
@@ -352,7 +351,9 @@ def test_schmidt_bases_are_biorthogonal_rotations():
     for _ in range(100):
         psi = TwoAtomState(_random_state(rng, 4))
         dec = schmidt_decompose(psi)
-        for basis in (dec.basis1, dec.basis2):
+        assert canonical_form(psi) == dec
+        for basis, rotation in ((dec.basis1, dec.rotation1), (dec.basis2, dec.rotation2)):
+            assert np.array_equal(basis, rotation_operator(0.5, rotation))
             assert np.max(np.abs(basis.conj().T @ basis - np.eye(2))) < 1e-12
         c_plus = np.vdot(np.kron(dec.basis1[:, 0], dec.basis2[:, 0]), psi.amps)
         c_minus = np.vdot(np.kron(dec.basis1[:, 1], dec.basis2[:, 1]), psi.amps)
