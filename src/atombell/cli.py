@@ -23,6 +23,7 @@ grows as grid**4, and ``gamma-scan --grid`` at 10 000 (a few seconds of
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -190,14 +191,18 @@ def cmd_sample(args) -> None:
     if args.shots < 1:
         raise _UsageError("--shots must be at least 1")
     psi = _load_state(args.state)
+    plan = ShotPlan(shots=args.shots, seed=args.seed, efficiency=args.efficiency)
     if args.settings == "optimal":
         # the minimum and the maximum sit equally far outside [-1, 0]
         # (Gamma_min = -1 - Gamma_max), so the minimizing settings serve both
-        settings = optimize_gamma(psi, "minimize").settings
+        exact = optimize_gamma(psi, "minimize")
     else:
-        settings = _parse_settings(args.settings)
-    plan = ShotPlan(shots=args.shots, seed=args.seed, efficiency=args.efficiency)
-    est, tallies = estimate_gamma(psi, settings, plan)
+        exact = gamma(psi, _parse_settings(args.settings))
+    # missed detections scale the pair terms by e**2 and the marginals by e
+    e, t = plan.efficiency, exact.terms
+    pair = t["q12_ab"] + t["q12_apb"] + t["q12_abp"] - t["q12_apbp"]
+    exact_at_efficiency = e * e * pair - e * t["q1_a"] - e * t["q2_b"]
+    est, tallies = estimate_gamma(psi, exact.settings, plan)
     q_reports = {}
     tally_reports = {}
     for key, tally in tallies.items():
@@ -217,9 +222,10 @@ def cmd_sample(args) -> None:
         "shots": plan.shots,
         "seed": plan.seed,
         "efficiency": plan.efficiency,
-        "exact_gamma": gamma(psi, settings).gamma,
+        "exact_gamma": exact.gamma,
+        "exact_gamma_at_efficiency": exact_at_efficiency,
         "gamma_estimate": {"value": est.value, "std_error": est.std_error},
-        "settings": _settings_json(settings),
+        "settings": _settings_json(exact.settings),
         "tallies": tally_reports,
         "q_estimates": q_reports,
         "state": _state_json(psi),
@@ -353,8 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call to main, then reused; parse_args keeps no state
+    # between calls, so one parser serves any number of in-process commands
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; return its exit code (argparse usage errors raise SystemExit(2))."""
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except _UsageError as exc:

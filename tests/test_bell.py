@@ -401,6 +401,43 @@ def test_atom_two_antipodes_map_gamma_to_minus_one_minus_gamma(amps, angles):
     assert abs(flipped - (-1.0 - value)) < 1e-12
 
 
+_directions = st.tuples(_polar, _azimuth).map(lambda angles: make_direction(*angles))
+_states = (
+    st.lists(_unit, min_size=8, max_size=8)
+    .filter(lambda x: np.linalg.norm(x) > 1e-3)
+    .map(lambda x: TwoAtomState(np.array(x[:4]) + 1j * np.array(x[4:])))
+)
+_ch_settings = st.builds(CHSettings, _directions, _directions, _directions, _directions)
+
+
+@hypothesis_settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(psi=_states, settings=_ch_settings, rot1=_directions, rot2=_directions)
+def test_gamma_is_covariant_under_random_local_rotations(psi, settings, rot1, rot2):
+    # <a|<b| g1^dagger g2^dagger |psi> = (g1|a>)^dagger (g2|b>)^dagger |psi>: displacing
+    # the state is the same as rotating every analyzer of atom r by g_r
+    displaced = displace_two_atoms(psi, rot1, rot2)
+    rotated = CHSettings(
+        _rotate_direction(settings.a, rot1),
+        _rotate_direction(settings.a_prime, rot1),
+        _rotate_direction(settings.b, rot2),
+        _rotate_direction(settings.b_prime, rot2),
+    )
+    assert abs(gamma(displaced, settings).gamma - gamma(psi, rotated).gamma) < 1e-12
+
+
+@hypothesis_settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(psi=_states, settings=_ch_settings)
+def test_gamma_stays_inside_quantum_bounds_for_arbitrary_settings(psi, settings):
+    assert TSIRELSON_LOW - 1e-12 <= gamma(psi, settings).gamma <= TSIRELSON_HIGH + 1e-12
+
+
+@hypothesis_settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n1=_directions, n2=_directions, settings=_ch_settings)
+def test_coherent_products_stay_inside_the_classical_hull(n1, n2, settings):
+    psi = TwoAtomState(np.kron(coherent_state(0.5, n1).amps, coherent_state(0.5, n2).amps))
+    assert -1.0 - 1e-12 <= gamma(psi, settings).gamma <= 1e-12
+
+
 def _restricted_grid_extrema(psi, points=601):
     """Min and max of Gamma over the restricted settings, by brute force.
 

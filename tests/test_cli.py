@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import atombell
-from atombell import TwoAtomState, joint_q, make_direction, marginal_q, u_state
+from atombell import TwoAtomState, cli, joint_q, make_direction, marginal_q, u_state
 from atombell.cli import _fmt, _load_state, main
 
 
@@ -266,6 +266,42 @@ def test_sample_usage_errors(capsys):
     assert "shots" in err
 
 
+def test_sample_reports_gamma_at_detection_efficiency(capsys):
+    # the singlet at its optimal settings has S = -1/8 and M = 1, so
+    # e**2 S - e M = 0.81 * (-0.125) - 0.9 = -1.00125 at e = 0.9
+    state = '{"family": "u", "varphi": 3.141592653589793}'
+    argv = ["sample", "--state", state, "--shots", "1000000", "--seed", "5", "--efficiency", "0.9"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert abs(report["exact_gamma_at_efficiency"] - (-1.00125)) < 1e-12
+    assert abs(report["exact_gamma"] - (-1.125)) < 1e-12
+    est = report["gamma_estimate"]
+    assert abs(est["value"] - report["exact_gamma_at_efficiency"]) < 6.0 * est["std_error"]
+
+
+def test_sample_at_full_efficiency_repeats_the_ideal_gamma(capsys):
+    code, out, _ = _run(capsys, ["sample", "--state", '{"family": "eta", "vartheta": 0.4}', "--shots", "100"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["efficiency"] == 1.0
+    assert report["exact_gamma_at_efficiency"] == report["exact_gamma"]
+
+
+@pytest.mark.parametrize("settings", ["optimal", '{"a": [0, 0], "a_prime": [1, 0], "b": [0, 0], "b_prime": [1, 1]}'])
+def test_sample_validates_input_before_any_gamma_math(capsys, monkeypatch, settings):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Gamma evaluated before the input was validated")
+
+    monkeypatch.setattr(cli, "optimize_gamma", refuse)
+    monkeypatch.setattr(cli, "gamma", refuse)
+    argv = ["sample", "--state", '{"family": "u"}', "--settings", settings, "--efficiency", "0"]
+    code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "efficiency" in err
+
+
 # ------------------------------------------------------------------------ lhv
 
 
@@ -419,6 +455,47 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def _fresh_process(module, argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(atombell.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_shared_parser_leaks_no_state_between_calls(capsys):
+    # main reuses one parser; each command must still behave as in a new process
+    state = '{"family": "v", "varphi": 0.3}'
+    sequence = [
+        ["gamma-scan", "--family", "u", "--grid", "5"],
+        ["gamma-scan", "--family", "u"],
+        ["sample", "--state", state, "--shots", "500", "--efficiency", "0.5"],
+        ["sample", "--state", state, "--shots", "500"],
+        ["optimize", "--state", state, "--objective", "sideways"],
+        ["optimize", "--state", state],
+    ]
+    results = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in results] == [0, 0, 0, 0, 2, 0]
+    assert len(_parse_csv(results[1][1])[1]) == 25
+    assert json.loads(results[3][1])["efficiency"] == 1.0
+    for argv, result in zip(sequence, results):
+        assert result == _fresh_process("atombell.cli", argv), argv
+
+
+def test_python_dash_m_atombell_runs_the_cli(capsys):
+    for argv, expected in ((["lhv", "--format", "json"], 0), (["optimize", "--state", '{"family": "w"}'], 3)):
+        code, out, err = _run(capsys, argv)
+        assert code == expected
+        assert _fresh_process("atombell", argv) == (code, out, err)
 
 
 def test_sample_efficiency_matches_analytic_scaling(capsys):
