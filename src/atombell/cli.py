@@ -13,16 +13,20 @@ shapes: ``{"family": "u"|"v"|"eta", "varphi": ..., "vartheta": ...}``,
 ``{"amps": [[re, im], [re, im], [re, im], [re, im]]}`` (order ++, +-, -+, --),
 or ``{"product": {"n1": [theta, phi], "n2": [theta, phi]}}``.
 
-Exit codes: 0 success, 2 usage error, 3 invalid input.  Scans and maps are
-CSV with a header row; single-result commands emit JSON.  Angles are always
-radians.  ``qmap --grid`` is capped at 24 (331 776 rows), because the map
-grows as grid**4, and ``gamma-scan --grid`` at 10 000 (a few seconds of
-``gamma`` calls).
+``main(argv)`` returns every exit code and raises no ``SystemExit``: 0 for
+success and for ``--help``, 2 when the command line is malformed (argparse
+rejects it, flag ranges included), 3 when a library constructor or parser
+rejects a value (a state or settings spec, ``--shots``, ``--seed``,
+``--efficiency``).  Scans and maps are CSV with a header row; single-result
+commands emit JSON.  Angles are always radians.  ``qmap --grid`` is capped at
+24 (331 776 rows), because the map grows as grid**4, and ``gamma-scan
+--grid`` at 10 000 (a few seconds of ``gamma`` calls).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -42,6 +46,7 @@ from .bell import (
 )
 from .ramsey import ShotPlan, estimate_gamma, estimate_q
 from .su2 import (
+    BlochDirection,
     TwoAtomState,
     _q_tables,
     coherent_state,
@@ -58,8 +63,19 @@ _QMAP_MAX_GRID = 24
 _SCAN_MAX_GRID = 10_000
 
 
-class _UsageError(Exception):
-    pass
+def _int_between(low: int, high: int):
+    """argparse ``type=`` for an integer in [low, high]; a miss is a usage error naming both bounds."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be an integer from {low} to {high}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _fmt(x: float) -> str:
@@ -71,6 +87,17 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _direction(obj, key: str, kind: str) -> BlochDirection:
+    """The direction at obj[key], a [theta, phi] pair; kind ("settings", "product") names the spec."""
+    try:
+        theta, phi = (float(x) for x in obj[key])
+    except KeyError:
+        raise ValueError(f"{kind} spec is missing key {key!r}") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} {key!r} must be a [theta, phi] pair") from None
+    return make_direction(theta, phi)
 
 
 def _load_state(spec: str) -> TwoAtomState:
@@ -101,16 +128,8 @@ def _load_state(spec: str) -> TwoAtomState:
             print(f"warning: state norm {norm:.9g} deviates from 1; normalizing", file=sys.stderr)
         return TwoAtomState(amps)
     if "product" in obj:
-        spec_p = obj["product"]
-        try:
-            theta1, phi1 = (float(x) for x in spec_p["n1"])
-            theta2, phi2 = (float(x) for x in spec_p["n2"])
-        except (TypeError, KeyError, ValueError):
-            raise ValueError(
-                'product spec must look like {"n1": [theta, phi], "n2": [theta, phi]}'
-            ) from None
-        n1 = make_direction(theta1, phi1)
-        n2 = make_direction(theta2, phi2)
+        n1 = _direction(obj["product"], "n1", "product")
+        n2 = _direction(obj["product"], "n2", "product")
         return TwoAtomState(np.kron(coherent_state(0.5, n1).amps, coherent_state(0.5, n2).amps))
     raise ValueError("state spec needs one of the keys 'family', 'amps' or 'product'")
 
@@ -120,34 +139,22 @@ def _state_json(psi: TwoAtomState) -> dict:
 
 
 def _settings_json(s: CHSettings) -> dict:
-    return {
-        "a": [s.a.theta, s.a.phi],
-        "a_prime": [s.a_prime.theta, s.a_prime.phi],
-        "b": [s.b.theta, s.b.phi],
-        "b_prime": [s.b_prime.theta, s.b_prime.phi],
-    }
+    directions = {f.name: getattr(s, f.name) for f in dataclasses.fields(CHSettings)}
+    return {name: [n.theta, n.phi] for name, n in directions.items()}
+
+
+def _estimate_json(e) -> dict:
+    return {"value": e.value, "std_error": e.std_error}
 
 
 def _parse_settings(spec: str) -> CHSettings:
     obj = json.loads(spec)
     if not isinstance(obj, dict):
         raise ValueError("settings spec must be a JSON object")
-
-    def direction(key):
-        if key not in obj:
-            raise ValueError(f"settings spec is missing key {key!r}")
-        try:
-            theta, phi = (float(x) for x in obj[key])
-        except (TypeError, ValueError):
-            raise ValueError(f"settings {key!r} must be a [theta, phi] pair") from None
-        return make_direction(theta, phi)
-
-    return CHSettings(direction("a"), direction("a_prime"), direction("b"), direction("b_prime"))
+    return CHSettings(*(_direction(obj, f.name, "settings") for f in dataclasses.fields(CHSettings)))
 
 
 def cmd_gamma_scan(args) -> None:
-    if not 2 <= args.grid <= _SCAN_MAX_GRID:
-        raise _UsageError(f"--grid must be between 2 and {_SCAN_MAX_GRID}")
     analytic = analytic_gamma_u if args.family == "u" else analytic_gamma_v
     psi = family_state(args.family, varphi=args.varphi)
     rows = []
@@ -188,8 +195,6 @@ def cmd_optimize(args) -> None:
 
 
 def cmd_sample(args) -> None:
-    if args.shots < 1:
-        raise _UsageError("--shots must be at least 1")
     psi = _load_state(args.state)
     plan = ShotPlan(shots=args.shots, seed=args.seed, efficiency=args.efficiency)
     if args.settings == "optimal":
@@ -203,31 +208,19 @@ def cmd_sample(args) -> None:
     pair = t["q12_ab"] + t["q12_apb"] + t["q12_abp"] - t["q12_apbp"]
     exact_at_efficiency = e * e * pair - e * t["q1_a"] - e * t["q2_b"]
     est, tallies = estimate_gamma(psi, exact.settings, plan)
-    q_reports = {}
-    tally_reports = {}
-    for key, tally in tallies.items():
-        q1, q2, q12 = estimate_q(tally)
-        q_reports[key] = {
-            "q1": {"value": q1.value, "std_error": q1.std_error},
-            "q2": {"value": q2.value, "std_error": q2.std_error},
-            "q12": {"value": q12.value, "std_error": q12.std_error},
-        }
-        tally_reports[key] = {
-            "n_pp": tally.n_pp,
-            "n_pm": tally.n_pm,
-            "n_mp": tally.n_mp,
-            "n_mm": tally.n_mm,
-        }
     report = {
         "shots": plan.shots,
         "seed": plan.seed,
         "efficiency": plan.efficiency,
         "exact_gamma": exact.gamma,
         "exact_gamma_at_efficiency": exact_at_efficiency,
-        "gamma_estimate": {"value": est.value, "std_error": est.std_error},
+        "gamma_estimate": _estimate_json(est),
         "settings": _settings_json(exact.settings),
-        "tallies": tally_reports,
-        "q_estimates": q_reports,
+        "tallies": {key: dataclasses.asdict(tally) for key, tally in tallies.items()},
+        "q_estimates": {
+            key: {name: _estimate_json(q) for name, q in zip(("q1", "q2", "q12"), estimate_q(tally))}
+            for key, tally in tallies.items()
+        },
         "state": _state_json(psi),
     }
     _emit(json.dumps(report, indent=2) + "\n", args.out)
@@ -251,8 +244,6 @@ def cmd_lhv(args) -> None:
 
 
 def cmd_qmap(args) -> None:
-    if not 2 <= args.grid <= _QMAP_MAX_GRID:
-        raise _UsageError(f"--grid must be between 2 and {_QMAP_MAX_GRID}")
     psi = _load_state(args.state)
     thetas = np.linspace(0.0, math.pi, args.grid)
     phis = np.linspace(0.0, 2.0 * math.pi, args.grid, endpoint=False)
@@ -297,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--varphi", type=float, default=0.0, help="family phase (radians)")
     scan.add_argument(
         "--grid",
-        type=int,
+        type=_int_between(2, _SCAN_MAX_GRID),
         default=25,
         help=f"number of theta samples in [0, pi], 2 to {_SCAN_MAX_GRID}",
     )
@@ -348,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     qmap.add_argument("--state", required=True)
     qmap.add_argument(
         "--grid",
-        type=int,
+        type=_int_between(2, _QMAP_MAX_GRID),
         default=8,
         help=f"points per angle, 2 to {_QMAP_MAX_GRID} (the map has grid**4 rows)",
     )
@@ -367,13 +358,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; return its exit code (argparse usage errors raise SystemExit(2))."""
-    args = _parser().parse_args(argv)
+    """Run one command and return its exit code: 0 success or --help, 2 malformed command line, 3 rejected value."""
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error (code 2) or the help (code 0)
+        return exc.code
     try:
         args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -85,6 +85,17 @@ def pulses_to_direction(pulses: PulseSequence) -> BlochDirection:
     return make_direction(pulses.omega_perp * pulses.t_theta, (pulses.omega0 - pulses.omega) * pulses.t_phi)
 
 
+def _whole(value, name: str) -> int:
+    # int() alone would truncate 1.5 to 1 and overflow on inf
+    try:
+        whole = int(value)
+    except (OverflowError, TypeError, ValueError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class ShotPlan:
     """Number of shots, RNG seed and detection efficiency for one run."""
@@ -94,14 +105,15 @@ class ShotPlan:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= int(self.shots) < (1 << 63):
+        shots = _whole(self.shots, "shots")
+        if not 1 <= shots < (1 << 63):
             raise ValueError("shots must lie in [1, 2**63)")
-        seed = int(self.seed)
+        seed = _whole(self.seed, "seed")
         if not 0 <= seed < (1 << 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in (0, 1]")
-        object.__setattr__(self, "shots", int(self.shots))
+        object.__setattr__(self, "shots", shots)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "efficiency", float(self.efficiency))
 

@@ -92,7 +92,8 @@ class BlochDirection:
         p = math.fmod(p, TWO_PI)
         if p < 0.0:
             p += TWO_PI
-        if t == 0.0 or t == math.pi:
+        # a tiny negative azimuth rounds up to exactly 2*pi, outside [0, 2*pi)
+        if t == 0.0 or t == math.pi or p == TWO_PI:
             p = 0.0
         object.__setattr__(self, "theta", t + 0.0)
         object.__setattr__(self, "phi", p + 0.0)

@@ -96,9 +96,7 @@ def test_gamma_scan_rejects_grid_above_cap(capsys, grid):
 
 
 def test_gamma_scan_rejects_unknown_family(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["gamma-scan", "--family", "eta"])
-    assert info.value.code == 2
+    assert main(["gamma-scan", "--family", "eta"]) == 2
     capsys.readouterr()
 
 
@@ -252,7 +250,7 @@ def test_sample_efficiency_pulls_estimate_classical(capsys):
 
 def test_sample_usage_errors(capsys):
     code, _, err = _run(capsys, ["sample", "--state", '{"family": "u"}', "--shots", "0"])
-    assert code == 2
+    assert code == 3
     assert "shots" in err
     code, _, _ = _run(capsys, ["sample", "--state", '{"family": "u"}', "--settings", '{"a": [0, 0]}'])
     assert code == 3
@@ -444,17 +442,21 @@ def test_qmap_matches_row_by_row_reference(capsys, state, fmt):
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["frobnicate"])
-    assert info.value.code == 2
+    assert main(["frobnicate"]) == 2
     capsys.readouterr()
 
 
 def test_missing_subcommand_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as info:
-        main([])
-    assert info.value.code == 2
+    assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lhv", "--help"]])
+def test_help_returns_zero_without_raising(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 0
+    assert out.startswith("usage: atombell")
+    assert err == ""
 
 
 def _fresh_process(module, argv):
@@ -478,10 +480,7 @@ def test_shared_parser_leaks_no_state_between_calls(capsys):
     ]
     results = []
     for argv in sequence:
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         results.append((code, captured.out, captured.err))
     assert [code for code, _, _ in results] == [0, 0, 0, 0, 2, 0]

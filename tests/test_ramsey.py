@@ -25,6 +25,7 @@ from atombell import (
     u_state,
     v_state,
 )
+from atombell.ramsey import _splitmix64
 
 SEED = 907
 
@@ -143,6 +144,13 @@ def test_shot_plan_validation():
         ShotPlan(shots=10, seed=1, efficiency=0.0)
     with pytest.raises(ValueError):
         ShotPlan(shots=10, seed=1, efficiency=1.2)
+    # int() would truncate or overflow on these; they must be rejected, not rounded
+    for shots, seed in ((1.5, 0), (math.inf, 0), (math.nan, 0), (10, 0.5), (10, math.inf), (10, math.nan)):
+        with pytest.raises(ValueError):
+            ShotPlan(shots=shots, seed=seed)
+    plan = ShotPlan(shots=np.int64(10), seed=np.uint64((1 << 64) - 1))
+    assert (plan.shots, plan.seed) == (10, (1 << 64) - 1)
+    assert type(plan.shots) is int and type(plan.seed) is int
 
 
 def test_tally_validation_and_frequencies():
@@ -203,13 +211,24 @@ def test_estimate_gamma_is_reproducible_with_independent_runs():
     psi = v_state(0.0)
     n = make_direction(math.pi / 3, 0.0)
     settings = CHSettings(n, n, n, n)  # identical pairs, so only seeds differ
-    plan = ShotPlan(shots=20_000, seed=11)
-    est1, tallies1 = estimate_gamma(psi, settings, plan)
-    est2, tallies2 = estimate_gamma(psi, settings, plan)
-    assert est1 == est2
-    assert tallies1 == tallies2
-    # the four runs sample the same distribution but must not share draws
-    assert len({tallies1[k] for k in tallies1}) > 1
+    for seed in (11, (1 << 64) - 1):
+        plan = ShotPlan(shots=20_000, seed=seed)
+        est1, tallies1 = estimate_gamma(psi, settings, plan)
+        est2, tallies2 = estimate_gamma(psi, settings, plan)
+        assert est1 == est2
+        assert tallies1 == tallies2
+        # the four runs sample the same distribution but must not share draws
+        assert len({tallies1[k] for k in tallies1}) > 1
+
+
+def test_sub_seeds_follow_published_splitmix64():
+    # first output of splitmix64 from state 0, independent of NumPy's version
+    assert _splitmix64(0) == 0xE220A8397B1DCDAF
+    # at seed 2**64 - 1 the k = 1 sub-seed wraps to splitmix64(0)
+    psi = v_state(0.0)
+    a, b = make_direction(0.4, 1.0), make_direction(2.0, 3.0)
+    _, tallies = estimate_gamma(psi, CHSettings(a, a, b, b), ShotPlan(shots=1000, seed=(1 << 64) - 1))
+    assert tallies["ab"] == simulate_shots(psi, a, b, ShotPlan(shots=1000, seed=0xE220A8397B1DCDAF))
 
 
 def test_estimate_gamma_hits_singlet_extremum():

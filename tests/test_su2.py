@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from atombell import (
@@ -15,6 +18,7 @@ from atombell import (
     coherent_state,
     displace_two_atoms,
     entanglement_angle,
+    eta_state,
     joint_q,
     make_direction,
     marginal_q,
@@ -62,6 +66,9 @@ def test_direction_canonicalization_examples():
     d = make_direction(3.0 * math.pi / 2, 0.3)  # reflex polar angle folds back with phi + pi
     assert abs(d.theta - math.pi / 2) < 1e-12 and abs(d.phi - (0.3 + math.pi)) < 1e-12
     assert make_direction(math.pi, 2.2).phi == 0.0
+    # a tiny negative azimuth rounds up to 2*pi and must land on 0 instead
+    assert make_direction(1.0, -1e-300).phi == 0.0
+    assert spinor_direction([1.0, 0.5 - 1e-17j]) == spinor_direction([1.0, 0.5])
 
 
 def test_direction_equivalent_angles_same_unit_vector():
@@ -80,6 +87,28 @@ def test_direction_equivalent_angles_same_unit_vector():
         assert 0.0 <= d.theta <= math.pi
         assert 0.0 <= d.phi < 2.0 * math.pi
         assert np.max(np.abs(d.unit_vector - raw)) < 1e-12
+
+
+def _near(centres):
+    offsets = st.one_of(
+        st.floats(-1e-12, 1e-12),
+        st.sampled_from([5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17, 1e-16, -1e-16]),
+    )
+    return st.builds(lambda c, d: c + d, st.sampled_from(centres), offsets)
+
+
+_raw_thetas = st.one_of(st.floats(-20.0, 20.0), _near([0.0, math.pi, -math.pi, 2.0 * math.pi]))
+_raw_phis = st.one_of(st.floats(-20.0, 20.0), _near([0.0, 2.0 * math.pi, -2.0 * math.pi, math.pi]))
+
+
+@hypothesis_settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(theta=_raw_thetas, phi=_raw_phis)
+def test_direction_canonicalization_is_idempotent(theta, phi):
+    # raw angles are drawn near the poles and near phi = 0, where rounding bites
+    d = make_direction(theta, phi)
+    assert 0.0 <= d.theta <= math.pi
+    assert 0.0 <= d.phi < 2.0 * math.pi
+    assert make_direction(d.theta, d.phi) == d
 
 
 def test_direction_rejects_non_finite():
@@ -369,6 +398,23 @@ def test_schmidt_normal_form_round_trip():
     dec = schmidt_decompose(psi)
     assert abs(dec.vartheta - vartheta) < 1e-12
     assert abs(dec.varphi - varphi) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-16, 1e-14, 1e-12])
+@pytest.mark.parametrize("near", ["maximal", "product"])
+def test_schmidt_decompose_near_the_degenerate_ends(eps, near):
+    # at vartheta = pi/4 the Schmidt bases are not unique; near 0 s[1] drops
+    # below the cut-off that pins the phase
+    vartheta = math.pi / 4.0 - eps if near == "maximal" else eps
+    rng = np.random.default_rng(SEED + 19)
+    for varphi in (0.0, 1.3, math.pi, 5.9):
+        psi = displace_two_atoms(eta_state(vartheta, varphi), _random_direction(rng), _random_direction(rng))
+        dec = schmidt_decompose(psi)
+        assert 0.0 <= dec.vartheta <= math.pi / 4.0
+        assert abs(dec.vartheta - vartheta) < 1e-12
+        assert _phase_aligned_residual(dec.state().amps, psi.amps) < 1e-12
+        for basis, rotation in ((dec.basis1, dec.rotation1), (dec.basis2, dec.rotation2)):
+            assert np.array_equal(basis, rotation_operator(0.5, rotation))
 
 
 def test_schmidt_product_state_conventions():
