@@ -23,10 +23,10 @@ from .su2 import (
     BlochDirection,
     SchmidtDecomposition,
     TwoAtomState,
-    _spin_half_ket,
     joint_q,
     make_direction,
     marginal_q,
+    rotation_operator,
     schmidt_decompose,
     spinor_direction,
 )
@@ -48,6 +48,23 @@ __all__ = [
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
+# the four setting pairs: (key, atom-1 analyzer, atom-2 analyzer, sign in S);
+# GammaResult.terms and the estimate_gamma tallies follow this order
+_CH_PAIRS = (
+    ("ab", "a", "b", 1.0),
+    ("apb", "a_prime", "b", 1.0),
+    ("abp", "a", "b_prime", 1.0),
+    ("apbp", "a_prime", "b_prime", -1.0),
+)
+
+
+def _clauser_horne(terms: dict, e: float) -> float:
+    # e^2 S - e M; at e = 1 every product is exact, so this is Gamma itself
+    s = 0.0
+    for key, _, _, sign in _CH_PAIRS:
+        s += sign * terms["q12_" + key]
+    return e * e * s - e * terms["q1_a"] - e * terms["q2_b"]
+
 
 @dataclass(frozen=True)
 class CHSettings:
@@ -64,6 +81,10 @@ class CHSettings:
         zero = make_direction(0.0, 0.0)
         return cls(zero, a_prime, zero, b_prime)
 
+    def pairs(self) -> list[tuple[str, BlochDirection, BlochDirection, float]]:
+        """(key, atom-1 direction, atom-2 direction, sign in S) for ab, apb, abp, apbp."""
+        return [(key, getattr(self, n1), getattr(self, n2), sign) for key, n1, n2, sign in _CH_PAIRS]
+
 
 @dataclass(frozen=True)
 class GammaResult:
@@ -72,6 +93,16 @@ class GammaResult:
     gamma: float
     settings: CHSettings
     terms: dict
+
+    def at_efficiency(self, efficiency: float) -> float:
+        """Gamma_e = e^2 S - e M when each "+" is missed with probability 1 - e.
+
+        S is the signed sum of the four Q12 terms and M = Q1(a) + Q2(b): what a
+        finite-shot estimate at efficiency e converges to, and `gamma` at e = 1.
+        """
+        if not 0.0 < efficiency <= 1.0:
+            raise ValueError("efficiency must lie in (0, 1]")
+        return _clauser_horne(self.terms, efficiency)
 
 
 def u_state(varphi: float) -> TwoAtomState:
@@ -113,23 +144,9 @@ def family_state(kind: str, *, varphi: float = 0.0, vartheta: float | None = Non
 
 def gamma(psi: TwoAtomState, settings: CHSettings) -> GammaResult:
     """Clauser-Horne combination of the displaced-pair excitation probabilities."""
-    terms = {
-        "q12_ab": joint_q(psi, settings.a, settings.b),
-        "q12_apb": joint_q(psi, settings.a_prime, settings.b),
-        "q12_abp": joint_q(psi, settings.a, settings.b_prime),
-        "q12_apbp": joint_q(psi, settings.a_prime, settings.b_prime),
-        "q1_a": marginal_q(psi, 1, settings.a),
-        "q2_b": marginal_q(psi, 2, settings.b),
-    }
-    value = (
-        terms["q12_ab"]
-        + terms["q12_apb"]
-        + terms["q12_abp"]
-        - terms["q12_apbp"]
-        - terms["q1_a"]
-        - terms["q2_b"]
-    )
-    return GammaResult(value, settings, terms)
+    terms = {"q12_" + key: joint_q(psi, n1, n2) for key, n1, n2, _ in settings.pairs()}
+    terms.update(q1_a=marginal_q(psi, 1, settings.a), q2_b=marginal_q(psi, 2, settings.b))
+    return GammaResult(_clauser_horne(terms, 1.0), settings, terms)
 
 
 def analytic_gamma_u(theta: float, phi: float, phi_prime: float, varphi: float) -> float:
@@ -161,9 +178,11 @@ def lhv_vertices() -> list[tuple[tuple[int, int, int, int], float]]:
     values span exactly [-1, 0], which is the classical hull.
     """
     out = []
-    for q1a, q1ap, q2b, q2bp in itertools.product((0, 1), repeat=4):
-        value = q1a * q2b + q1ap * q2b + q1a * q2bp - q1ap * q2bp - q1a - q2b
-        out.append(((q1a, q1ap, q2b, q2bp), float(value)))
+    for bits in itertools.product((0, 1), repeat=4):
+        q = dict(zip(("a", "a_prime", "b", "b_prime"), bits))
+        terms = {"q12_" + key: q[n1] * q[n2] for key, n1, n2, _ in _CH_PAIRS}
+        terms.update(q1_a=q["a"], q2_b=q["b"])
+        out.append((bits, _clauser_horne(terms, 1.0)))
     return out
 
 
@@ -178,8 +197,7 @@ def canonical_form(psi: TwoAtomState) -> SchmidtDecomposition:
 
 def _rotated_direction(g: np.ndarray, theta: float, phi: float) -> BlochDirection:
     # image of the analyzer direction (theta, phi) under the local rotation g
-    ket = g @ np.array(_spin_half_ket(float(theta), float(phi)))
-    return spinor_direction(ket)
+    return spinor_direction(g @ rotation_operator(0.5, make_direction(theta, phi))[:, 0])
 
 
 def optimize_gamma(psi: TwoAtomState, objective: str = "minimize") -> GammaResult:

@@ -203,17 +203,13 @@ def cmd_sample(args) -> None:
         exact = optimize_gamma(psi, "minimize")
     else:
         exact = gamma(psi, _parse_settings(args.settings))
-    # missed detections scale the pair terms by e**2 and the marginals by e
-    e, t = plan.efficiency, exact.terms
-    pair = t["q12_ab"] + t["q12_apb"] + t["q12_abp"] - t["q12_apbp"]
-    exact_at_efficiency = e * e * pair - e * t["q1_a"] - e * t["q2_b"]
     est, tallies = estimate_gamma(psi, exact.settings, plan)
     report = {
         "shots": plan.shots,
         "seed": plan.seed,
         "efficiency": plan.efficiency,
         "exact_gamma": exact.gamma,
-        "exact_gamma_at_efficiency": exact_at_efficiency,
+        "exact_gamma_at_efficiency": exact.at_efficiency(plan.efficiency),
         "gamma_estimate": _estimate_json(est),
         "settings": _settings_json(exact.settings),
         "tallies": {key: dataclasses.asdict(tally) for key, tally in tallies.items()},
@@ -276,7 +272,13 @@ def cmd_qmap(args) -> None:
     _emit(start + sep.join(rows) + end, args.out)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call to main and then reused.
+
+    parse_args keeps no state between calls, so one parser serves any number
+    of in-process commands.
+    """
     parser = argparse.ArgumentParser(
         prog="atombell",
         description="Bell tests with two two-level atoms via population spectroscopy of Q functions.",
@@ -348,13 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     qmap.set_defaults(func=cmd_qmap)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first call to main, then reused; parse_args keeps no state
-    # between calls, so one parser serves any number of in-process commands
-    return build_parser()
 
 
 def main(argv=None) -> int:

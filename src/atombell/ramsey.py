@@ -162,9 +162,8 @@ def outcome_distribution(psi: TwoAtomState, n1: BlochDirection, n2: BlochDirecti
 def _apply_efficiency(probs: np.ndarray, efficiency: float) -> np.ndarray:
     # each atom's "+" outcome is independently demoted to "-" with
     # probability 1 - efficiency (a missed detection); applying the map to
-    # the distribution is equivalent in law to demoting shot by shot
-    if efficiency == 1.0:
-        return probs
+    # the distribution is equivalent in law to demoting shot by shot; at
+    # efficiency 1 every product below is exact and the map is the identity
     e = efficiency
     miss = 1.0 - e
     pp, pm, mp, mm = probs
@@ -220,14 +219,9 @@ def estimate_gamma(
     collapse to the -- frequency, so the variance term is f_mm (1 - f_mm)/L);
     the other runs add independent binomial variances.
     """
-    pairs = [
-        ("ab", settings.a, settings.b),
-        ("apb", settings.a_prime, settings.b),
-        ("abp", settings.a, settings.b_prime),
-        ("apbp", settings.a_prime, settings.b_prime),
-    ]
+    pairs = settings.pairs()
     tallies: dict[str, Tally] = {}
-    for k, (key, n1, n2) in enumerate(pairs, start=1):
+    for k, (key, n1, n2, _) in enumerate(pairs, start=1):
         sub = ShotPlan(plan.shots, _splitmix64((plan.seed + k) & _MASK64), plan.efficiency)
         tallies[key] = simulate_shots(psi, n1, n2, sub)
 
@@ -238,8 +232,8 @@ def estimate_gamma(
     run1 = float(coeff @ f_ab)
     var = float(coeff**2 @ f_ab - run1**2) / shots
     value = run1
-    for key, sgn in (("apb", 1.0), ("abp", 1.0), ("apbp", -1.0)):
+    for key, _, _, sign in pairs[1:]:
         f = tallies[key].n_pp / shots
-        value += sgn * f
+        value += sign * f
         var += f * (1.0 - f) / shots
     return Estimate(value, math.sqrt(max(var, 0.0)), shots), tallies

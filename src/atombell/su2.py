@@ -1,5 +1,9 @@
 """Spin-j kernel: Bloch directions, SU(2) rotations, coherent states, Q functions.
 
+The two-level atom (spin 1/2) is the one hand-coded object: a spin j is built
+as 2j such atoms in their symmetric (Dicke) subspace, so its rotations are
+tensor powers of the spin-1/2 rotation.
+
 Conventions used throughout the package:
 
 * basis states are ordered by decreasing magnetic quantum number
@@ -22,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -49,13 +52,21 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 # The Bell test itself only ever needs j = 1/2; larger spins are supported so
-# the coherent-state overlap/factorization laws can be exercised.  Wigner's
-# factorial sum grows with j, so spins above this cap are refused.
+# the coherent-state overlap/factorization laws can be exercised.  A spin j is
+# the 2j-fold tensor power of a two-level atom, whose matrix grows as 4**(2j),
+# so spins above this cap are refused.
 _J_MAX = 2.5
 
 # Amplitude vectors whose norm is already this close to one are stored as-is,
 # so unitary images of normalized states survive bit-exactly.
 _NORM_TOL = 1e-12
+
+
+def _turn(angle: float) -> float:
+    """Angle reduced into [0, 2*pi)."""
+    wrapped = angle % TWO_PI
+    # a tiny negative angle rounds up to exactly 2*pi, outside [0, 2*pi)
+    return 0.0 if wrapped == TWO_PI else wrapped
 
 
 def _check_j(j):
@@ -83,20 +94,15 @@ class BlochDirection:
         p = float(self.phi)
         if not (math.isfinite(t) and math.isfinite(p)):
             raise ValueError(f"direction angles must be finite, got ({self.theta!r}, {self.phi!r})")
-        t = math.fmod(t, TWO_PI)
-        if t < 0.0:
-            t += TWO_PI
+        t = _turn(t)
         if t > math.pi:
             t = TWO_PI - t
             p += math.pi
-        p = math.fmod(p, TWO_PI)
-        if p < 0.0:
-            p += TWO_PI
-        # a tiny negative azimuth rounds up to exactly 2*pi, outside [0, 2*pi)
-        if t == 0.0 or t == math.pi or p == TWO_PI:
+        p = _turn(p)
+        if t == 0.0 or t == math.pi:
             p = 0.0
-        object.__setattr__(self, "theta", t + 0.0)
-        object.__setattr__(self, "phi", p + 0.0)
+        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "phi", p)
 
     @property
     def unit_vector(self) -> np.ndarray:
@@ -153,14 +159,6 @@ class TwoAtomState:
         return self.amps.reshape(2, 2)
 
 
-def _spin_half_ket(theta: float, phi: float) -> tuple[complex, complex]:
-    # closed-form spin-1/2 coherent state; accepts raw (non-canonical) angles
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    e = cmath.exp(-0.5j * phi)
-    return (c * e, s * e.conjugate())
-
-
 def _q_tables(amp_matrix: np.ndarray, thetas: np.ndarray, phis: np.ndarray):
     """Joint and marginal Q values over N raw spin-1/2 directions at once.
 
@@ -182,39 +180,11 @@ def _q_tables(amp_matrix: np.ndarray, thetas: np.ndarray, phis: np.ndarray):
     return q12, q1, q2
 
 
-def _d_entry(two_j: int, two_mp: int, two_m: int, c: float, s: float) -> float:
-    jpm = (two_j + two_m) // 2
-    jmm = (two_j - two_m) // 2
-    jpmp = (two_j + two_mp) // 2
-    jmmp = (two_j - two_mp) // 2
-    mdiff = (two_m - two_mp) // 2  # m - m'
-    num = math.sqrt(factorial(jpm) * factorial(jmm) * factorial(jpmp) * factorial(jmmp))
-    total = 0.0
-    for k in range(max(0, mdiff), min(jpm, jmmp) + 1):
-        den = factorial(jpm - k) * factorial(k) * factorial(jmmp - k) * factorial(k - mdiff)
-        sign = -1.0 if (k - mdiff) % 2 else 1.0
-        total += sign * (num / den) * c ** (two_j - 2 * k + mdiff) * s ** (2 * k - mdiff)
-    return total
-
-
-def _wigner_d_sum(j: float, theta: float) -> np.ndarray:
-    # Wigner's factorial-sum formula; every factorial argument is an integer
-    # because j and m are both integers or both half-integers
-    two_j = int(round(2.0 * j))
-    dim = two_j + 1
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    d = np.empty((dim, dim))
-    for a in range(dim):  # row index a <-> m' = j - a
-        for b in range(dim):  # column index b <-> m = j - b
-            d[a, b] = _d_entry(two_j, two_j - 2 * a, two_j - 2 * b, c, s)
-    return d
-
-
 def wigner_d(j: float, theta: float) -> np.ndarray:
     """Small Wigner rotation matrix d^j(theta) = exp(-i theta Jy), m descending.
 
-    The matrix is real orthogonal; d^j(0) is the identity.
+    The matrix is real orthogonal; d^j(0) is the identity.  Any j other than
+    1/2 is the 2j-fold tensor power of d^{1/2} on the Dicke states.
     """
     _check_j(j)
     if j > _J_MAX + 1e-9:
@@ -222,14 +192,21 @@ def wigner_d(j: float, theta: float) -> np.ndarray:
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("rotation angle must be finite")
-    two_j = int(round(2.0 * j))
-    if two_j == 0:
-        return np.ones((1, 1))
-    if two_j == 1:
-        c = math.cos(0.5 * theta)
-        s = math.sin(0.5 * theta)
-        return np.array([[c, -s], [s, c]])
-    return _wigner_d_sum(j, theta)
+    c = math.cos(0.5 * theta)
+    s = math.sin(0.5 * theta)
+    half = np.array([[c, -s], [s, c]])
+    atoms = int(round(2.0 * j))
+    if atoms == 1:
+        return half
+    power = np.ones((1, 1))
+    for _ in range(atoms):
+        power = np.kron(power, half)
+    # column k of dicke is |j, j-k>, the normalized sum of all products with
+    # k atoms lowered (bit set); these follow the Condon-Shortley phases
+    lowered = np.array([bin(x).count("1") for x in range(2**atoms)])
+    dicke = (lowered[:, None] == np.arange(atoms + 1)).astype(float)
+    dicke /= np.sqrt(dicke.sum(axis=0))
+    return dicke.T @ power @ dicke
 
 
 def rotation_operator(j: float, n: BlochDirection) -> np.ndarray:
@@ -368,7 +345,7 @@ def schmidt_decompose(psi: TwoAtomState) -> SchmidtDecomposition:
     if float(s[1]) < 1e-13 or abs(c_plus) == 0.0:
         varphi = 0.0
     else:
-        varphi = cmath.phase(complex(c_minus) * complex(c_plus).conjugate()) % TWO_PI
+        varphi = _turn(cmath.phase(complex(c_minus) * complex(c_plus).conjugate()))
     return SchmidtDecomposition(vartheta, varphi, rotation1, rotation2)
 
 

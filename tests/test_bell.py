@@ -116,12 +116,18 @@ def test_gamma_v_family_maximum():
 
 def test_gamma_terms_sum_to_value():
     rng = np.random.default_rng(SEED + 1)
-    keys = {"q12_ab", "q12_apb", "q12_abp", "q12_apbp", "q1_a", "q2_b"}
+    keys = ["q12_ab", "q12_apb", "q12_abp", "q12_apbp", "q1_a", "q2_b"]
     for _ in range(100):
         psi = _random_state(rng)
-        settings = _random_settings(rng)
-        result = gamma(psi, settings)
-        assert set(result.terms) == keys
+        s = _random_settings(rng)
+        assert s.pairs() == [
+            ("ab", s.a, s.b, 1.0),
+            ("apb", s.a_prime, s.b, 1.0),
+            ("abp", s.a, s.b_prime, 1.0),
+            ("apbp", s.a_prime, s.b_prime, -1.0),
+        ]
+        result = gamma(psi, s)
+        assert list(result.terms) == keys
         assert all(-1e-12 <= v <= 1.0 + 1e-12 for v in result.terms.values())
         total = (
             result.terms["q12_ab"]
@@ -132,7 +138,17 @@ def test_gamma_terms_sum_to_value():
             - result.terms["q2_b"]
         )
         assert abs(total - result.gamma) < 1e-14
-        assert result.settings is settings
+        assert result.settings is s
+
+
+def test_gamma_at_efficiency_validation_and_unit_value():
+    result = gamma(u_state(math.pi), optimize_gamma(u_state(math.pi)).settings)
+    assert result.at_efficiency(1.0) == result.gamma
+    # e^2 S - e M for the singlet at its minimizing settings: S = -1/8, M = 1
+    assert abs(result.at_efficiency(0.9) - (-0.81 / 8.0 - 0.9)) < 1e-12
+    for bad in (0.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            result.at_efficiency(bad)
 
 
 def test_gamma_matches_direct_q_evaluation():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from atombell import (
     CHSettings,
@@ -25,7 +28,7 @@ from atombell import (
     u_state,
     v_state,
 )
-from atombell.ramsey import _splitmix64
+from atombell.ramsey import _apply_efficiency, _splitmix64
 
 SEED = 907
 
@@ -231,6 +234,18 @@ def test_sub_seeds_follow_published_splitmix64():
     assert tallies["ab"] == simulate_shots(psi, a, b, ShotPlan(shots=1000, seed=0xE220A8397B1DCDAF))
 
 
+def test_estimate_gamma_runs_each_setting_pair_under_its_key():
+    psi = _random_state(np.random.default_rng(SEED + 5))
+    a, a_prime, b, b_prime = (make_direction(t, p) for t, p in ((0.4, 1.0), (1.2, 2.0), (2.0, 3.0), (2.7, 5.0)))
+    plan = ShotPlan(shots=1000, seed=123)
+    _, tallies = estimate_gamma(psi, CHSettings(a, a_prime, b, b_prime), plan)
+    assert list(tallies) == ["ab", "apb", "abp", "apbp"]
+    for k, (key, n1, n2) in enumerate(
+        (("ab", a, b), ("apb", a_prime, b), ("abp", a, b_prime), ("apbp", a_prime, b_prime)), start=1
+    ):
+        assert tallies[key] == simulate_shots(psi, n1, n2, ShotPlan(shots=1000, seed=_splitmix64(123 + k)))
+
+
 def test_estimate_gamma_hits_singlet_extremum():
     psi = u_state(math.pi)
     settings = optimize_gamma(psi, "minimize").settings
@@ -307,3 +322,35 @@ def test_v_state_violation_is_significant_at_ten_thousand_shots():
         if est.value > 3 * est.std_error:
             significant += 1
     assert significant >= 95
+
+
+_directions = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)).map(
+    lambda angles: make_direction(*angles)
+)
+_states = (
+    st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+    .filter(lambda x: np.linalg.norm(x) > 1e-3)
+    .map(lambda x: TwoAtomState(np.array(x[:4]) + 1j * np.array(x[4:])))
+)
+
+
+@hypothesis_settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    psi=_states,
+    settings=st.builds(CHSettings, _directions, _directions, _directions, _directions),
+    e=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_gamma_at_efficiency_matches_demoted_outcome_distributions(psi, settings, e):
+    # Gamma_e = e^2 S - e M is Gamma of the four outcome distributions after
+    # each "+" is demoted with probability 1 - e, the law simulate_shots draws from
+    s = settings
+    p = {
+        key: _apply_efficiency(outcome_distribution(psi, n1, n2), e)
+        for key, n1, n2 in (("ab", s.a, s.b), ("apb", s.a_prime, s.b), ("abp", s.a, s.b_prime), ("apbp", s.a_prime, s.b_prime))
+    }
+    q1_a = p["ab"][0] + p["ab"][1]
+    q2_b = p["ab"][0] + p["ab"][2]
+    demoted = p["ab"][0] + p["apb"][0] + p["abp"][0] - p["apbp"][0] - q1_a - q2_b
+    result = gamma(psi, settings)
+    assert abs(result.at_efficiency(e) - demoted) < 1e-12
+    assert result.at_efficiency(1.0) == result.gamma
