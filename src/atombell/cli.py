@@ -20,7 +20,7 @@ rejects a value (a state or settings spec, ``--shots``, ``--seed``,
 ``--efficiency``).  Scans and maps are CSV with a header row; single-result
 commands emit JSON.  Angles are always radians.  ``qmap --grid`` is capped at
 24 (331 776 rows), because the map grows as grid**4, and ``gamma-scan
---grid`` at 10 000 (a few seconds of ``gamma`` calls).
+--grid`` at 10 000 (about 2 s of ``gamma`` calls).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .su2 import (
     BlochDirection,
     TwoAtomState,
     _q_tables,
+    _rescaled,
     coherent_state,
     entanglement_angle,
     make_direction,
@@ -59,7 +60,7 @@ _VIOLATION_MARGIN = 1e-6
 # qmap writes grid**4 rows; grid 24 is 331 776 rows, about 73 MB of JSON
 _QMAP_MAX_GRID = 24
 
-# gamma-scan evaluates gamma once per sample, about 0.3 ms each: 10 000 is ~3 s
+# gamma-scan evaluates gamma once per sample, about 0.2 ms each: 10 000 is ~2 s
 _SCAN_MAX_GRID = 10_000
 
 
@@ -123,7 +124,8 @@ def _load_state(spec: str) -> TwoAtomState:
             raise ValueError("amps must hold four [re, im] pairs (order ++, +-, -+, --)") from None
         if amps.shape != (4,):
             raise ValueError("amps must hold four [re, im] pairs (order ++, +-, -+, --)")
-        norm = float(np.linalg.norm(amps))
+        _, norm, scale = _rescaled(amps)
+        norm *= scale
         if abs(norm - 1.0) > 1e-6:
             print(f"warning: state norm {norm:.9g} deviates from 1; normalizing", file=sys.stderr)
         return TwoAtomState(amps)

@@ -138,8 +138,14 @@ class Tally:
     def shots(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
 
+    def _nonempty_shots(self) -> int:
+        shots = self.shots
+        if shots == 0:
+            raise ValueError("cannot estimate from an empty tally")
+        return shots
+
     def frequencies(self) -> np.ndarray:
-        return np.array([self.n_pp, self.n_pm, self.n_mp, self.n_mm], dtype=float) / self.shots
+        return np.array([self.n_pp, self.n_pm, self.n_mp, self.n_mm], dtype=float) / self._nonempty_shots()
 
 
 @dataclass(frozen=True)
@@ -199,9 +205,7 @@ def estimate_q(tally: Tally) -> tuple[Estimate, Estimate, Estimate]:
     binomial standard errors.  Note Q12_hat <= min(Q1_hat, Q2_hat) holds by
     construction.
     """
-    shots = tally.shots
-    if shots == 0:
-        raise ValueError("cannot estimate from an empty tally")
+    shots = tally._nonempty_shots()
     q1 = (tally.n_pp + tally.n_pm) / shots
     q2 = (tally.n_pp + tally.n_mp) / shots
     q12 = tally.n_pp / shots

@@ -115,14 +115,37 @@ def make_direction(theta: float, phi: float) -> BlochDirection:
     return BlochDirection(float(theta), float(phi))
 
 
+def _rescaled(arr: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(arr / scale, its 2-norm, scale) for a complex vector, whose own norm is scale times that.
+
+    np.linalg.norm squares the amplitudes, which overflows above a norm of
+    about 1e154 and loses bits to underflow below about 1e-154.  Outside
+    (1e-150, 1e150) scale is the largest real or imaginary part in modulus;
+    inside it scale is 1, and arr and np.linalg.norm's result keep every bit.
+    A NaN or infinite entry gives a non-finite norm, a zero vector norm 0.
+    """
+    parts = np.ascontiguousarray(arr, dtype=complex).view(float)
+    peak = float(np.abs(parts).max())
+    if peak == 0.0 or not math.isfinite(peak):
+        return arr, peak, 1.0
+    # below this peak the squares of up to 50 amplitudes sum short of overflow
+    norm = float(np.linalg.norm(arr)) if peak < 1e150 else math.inf
+    if 1e-150 < norm < 1e150:
+        return arr, norm, 1.0
+    # real and imaginary parts apart: NumPy divides complex by real through
+    # the reciprocal 1 / peak, which overflows for a subnormal peak
+    scaled = (parts / peak).view(complex)
+    return scaled, float(np.linalg.norm(scaled)), peak
+
+
 def _normalized_amps(amps, length: int) -> np.ndarray:
     arr = np.array(amps, dtype=complex).reshape(-1)
     if arr.shape != (length,):
         raise ValueError(f"expected {length} amplitudes, got shape {np.shape(amps)}")
-    if not np.all(np.isfinite(arr)):
+    arr, norm, _ = _rescaled(arr)
+    if not math.isfinite(norm):
         raise ValueError("amplitudes must be finite")
-    norm = float(np.linalg.norm(arr))
-    if norm < 1e-300:
+    if norm == 0.0:
         raise ValueError("state has zero norm")
     if abs(norm - 1.0) > _NORM_TOL:
         arr = arr / norm
@@ -142,6 +165,16 @@ class SpinState:
         dim = int(round(2.0 * self.j)) + 1
         object.__setattr__(self, "j", float(self.j))
         object.__setattr__(self, "amps", _normalized_amps(self.amps, dim))
+
+    @classmethod
+    def _of_unit_column(cls, j: float, column: np.ndarray) -> SpinState:
+        """State holding a read-only copy of a column of a checked unitary, without re-validating it."""
+        amps = column.copy()
+        amps.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "j", float(j))
+        object.__setattr__(state, "amps", amps)
+        return state
 
 
 @dataclass(frozen=True)
@@ -210,15 +243,35 @@ def wigner_d(j: float, theta: float) -> np.ndarray:
 
 
 def rotation_operator(j: float, n: BlochDirection) -> np.ndarray:
-    """Unitary g(n) = exp(-i phi Jz) exp(-i theta Jy) for spin j."""
+    """Unitary g(n) = exp(-i phi Jz) exp(-i theta Jy) for spin j.
+
+    For j = 1/2 the 2x2 matrix is written out from cos and sin of the half
+    angles; it is bit-identical to the general path, the phase column
+    exp(-i phi m) times wigner_d(j, theta), which every other j takes.
+    """
+    if j == 0.5:
+        c = math.cos(0.5 * n.theta)
+        s = math.sin(0.5 * n.theta)
+        half_phi = 0.5 * n.phi
+        cos_phi = math.cos(half_phi)
+        sin_phi = math.sin(half_phi)
+        # 0.0 - sin keeps the +0.0 that exp(-i phi m) gives at phi = 0
+        down = complex(cos_phi, 0.0 - sin_phi)
+        up = complex(cos_phi, sin_phi)
+        return np.array([[down * c, down * -s], [up * s, up * c]])
     d = wigner_d(j, n.theta)
     m = j - np.arange(d.shape[0])
     return np.exp(-1j * n.phi * m)[:, None] * d
 
 
 def coherent_state(j: float, n: BlochDirection) -> SpinState:
-    """Atomic coherent state |j; n> = g(n)|j, j> (the rotated upper level)."""
-    return SpinState(j, rotation_operator(j, n)[:, 0])
+    """Atomic coherent state |j; n> = g(n)|j, j> (the rotated upper level).
+
+    The amplitudes are the first column of rotation_operator(j, n), which has
+    already checked j, so the state is valid by construction and skips the
+    SpinState constructor's checks; it equals SpinState(j, that column).
+    """
+    return SpinState._of_unit_column(j, rotation_operator(j, n)[:, 0])
 
 
 def coherent_overlap(j: float, n1: BlochDirection, n2: BlochDirection) -> complex:

@@ -161,6 +161,16 @@ def test_optimize_warns_on_unnormalized_amps(capsys):
     assert abs(report["state"]["amps"][0][0] - 1.0) < 1e-12
 
 
+def test_optimize_normalizes_huge_amps_without_overflow(capsys):
+    state = '{"amps": [[1e200, 0], [0, 0], [0, 0], [1e200, 0]]}'
+    code, out, err = _run(capsys, ["optimize", "--state", state])
+    assert code == 0
+    assert "state norm 1.41421356e+200 deviates" in err
+    report = json.loads(out)
+    assert abs(report["gamma"] + 1.125) < 1e-12
+    assert report["violates"] is True
+
+
 # --------------------------------------------------------------------- sample
 
 

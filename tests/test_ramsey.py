@@ -185,6 +185,13 @@ def test_estimate_q_rejects_empty_tally():
         estimate_q(Tally(0, 0, 0, 0))
 
 
+def test_empty_tally_has_no_frequencies():
+    with pytest.raises(ValueError, match="^cannot estimate from an empty tally$"):
+        Tally(0, 0, 0, 0).frequencies()
+    with pytest.raises(ValueError, match="^cannot estimate from an empty tally$"):
+        estimate_q(Tally(0, 0, 0, 0))
+
+
 def test_joint_estimate_bounded_by_marginals():
     rng = np.random.default_rng(SEED + 2)
     for _ in range(100):

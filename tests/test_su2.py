@@ -27,6 +27,7 @@ from atombell import (
     rotation_operator,
     schmidt_decompose,
     spinor_direction,
+    su2,
     wigner_d,
 )
 
@@ -161,13 +162,40 @@ def test_rotation_operator_unitary():
         assert np.max(np.abs(g.conj().T @ g - np.eye(dim))) < 1e-12
 
 
-def test_coherent_state_is_first_rotation_column_exactly():
+_poles = st.builds(BlochDirection, st.sampled_from([0.0, math.pi]), st.floats(0.0, 7.0))
+_near_zero_phi = st.builds(BlochDirection, st.floats(0.0, math.pi), _near([0.0, 2.0 * math.pi]))
+_raw_directions = st.builds(make_direction, _raw_thetas, _raw_phis)
+
+
+@hypothesis_settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(n=st.one_of(_poles, _near_zero_phi, _raw_directions))
+def test_spin_half_rotation_closed_form_matches_general_formula(n):
+    # the general path every other j takes: phases exp(-i phi m) times d^j(theta)
+    m = 0.5 - np.arange(2)
+    general = np.exp(-1j * n.phi * m)[:, None] * wigner_d(0.5, n.theta)
+    assert np.array_equal(rotation_operator(0.5, n), general)
+
+
+def test_coherent_state_is_first_rotation_column_exactly(monkeypatch):
+    rotations = []
+
+    def recording_rotation(j, n):
+        rotations.append(rotation_operator(j, n))
+        return rotations[-1]
+
+    monkeypatch.setattr(su2, "rotation_operator", recording_rotation)
     rng = np.random.default_rng(SEED + 3)
     for _ in range(50):
-        j = float(rng.choice([0.5, 1.0, 2.5]))
+        j = float(rng.choice([0.5, 1.0, 1.5, 2.5]))
         n = _random_direction(rng)
-        column = rotation_operator(j, n)[:, 0]
-        assert np.array_equal(coherent_state(j, n).amps, column)
+        state = coherent_state(j, n)
+        column = rotations[-1][:, 0]
+        checked = SpinState(j, column)
+        assert type(state.j) is float and state.j == checked.j == j
+        assert np.array_equal(state.amps, column) and np.array_equal(state.amps, checked.amps)
+        assert not state.amps.flags.writeable
+        assert not np.shares_memory(state.amps, rotations[-1])
+    assert type(coherent_state(1, make_direction(0.3, 0.4)).j) is float
 
 
 def test_spin_half_coherent_state_half_angle_form():
@@ -458,6 +486,29 @@ def test_state_normalization_policy():
         TwoAtomState([1.0, math.nan, 0.0, 0.0])
     with pytest.raises(ValueError):
         SpinState(0.7, [1.0, 0.0])
+    assert np.array_equal(SpinState(0.5, [1.0, 1.0]).amps, np.array([1.0, 1.0]) / math.sqrt(2.0))
+    with pytest.raises(ValueError):
+        SpinState(0.5, [math.nan, 0.0])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300, 1e-160, 1e-161, 1e-200, 1e-310])
+def test_state_normalization_at_extreme_scales(scale):
+    # the squares of these amplitudes overflow, or underflow into subnormals
+    for phase in (1.0, 1j):
+        psi = TwoAtomState([scale, 0.0, 0.0, phase * scale])
+        assert np.max(np.abs(psi.amps - np.array([1.0, 0.0, 0.0, phase]) / math.sqrt(2.0))) < 1e-16
+        assert abs(np.linalg.norm(psi.amps) - 1.0) < 1e-15
+    assert np.array_equal(SpinState(0.5, [scale, 0.0]).amps, np.array([1.0, 0.0]))
+
+
+def test_state_normalization_keeps_plain_division_inside_the_safe_range():
+    # inside norms (1e-150, 1e150) the stored amplitudes are amps / norm, bit for bit
+    rng = np.random.default_rng(SEED + 40)
+    for exponent in np.concatenate(([-149.5, 149.5], rng.uniform(-149.5, 149.5, size=200))):
+        amps = (rng.normal(size=4) + 1j * rng.normal(size=4)) * 10.0**exponent
+        norm = np.linalg.norm(amps)
+        assert 1e-150 < norm < 1e150
+        assert np.array_equal(TwoAtomState(amps).amps, amps / norm)
 
 
 def test_state_amplitudes_are_read_only():
